@@ -45,7 +45,7 @@ cargo test -q --test runtime_budgets --locked --offline
 echo "== chaos torture: injected faults must surface typed or degrade bit-identical =="
 # Every FaultSite x {panic,error,cancel,deadline} over the whole pipeline:
 # zero escaped panics, every failure carries the matching ErrorKind, and
-# killing both FFT rungs degrades to the Direct backend with output
+# killing the FFT rung degrades to the Direct backend with output
 # FNV-1a-hash-identical to a clean Direct run (seeded schedules replay
 # bit-for-bit) — see tests/chaos_torture.rs.
 cargo test -q --test chaos_torture --locked --offline
@@ -78,10 +78,9 @@ echo "== obs overhead gate: disabled recorder must be free =="
 cargo run --release --locked --offline -p rrs-bench --bin bench_obs
 
 echo "== runtime budget overhead gate: the no-budget path must stay free =="
-# Exits 1 if the budgeted primitive with Budget::unlimited is measurably
-# slower than the pre-budget primitive (min-of-reps ratio >= 1.5x), or if
-# a disabled chaos injector costs >= 1.05x the budgeted primitive —
-# see bench_runtime; armed-budget overhead is reported for information.
+# Exits 1 if rrs_par::try_par_rows with Budget::unlimited and a disabled
+# chaos injector costs >= 1.05x a plain scoped row-band loop (min-of-reps)
+# — see bench_runtime; the armed run is reported for information.
 cargo run --release --locked --offline -p rrs-bench --bin bench_runtime
 
 echo "== convolution backend gate: FFT must beat direct where Auto says so =="

@@ -1,12 +1,9 @@
 //! Convolution backend benchmarks and dispatch gate.
 //!
-//! Measures four engines on the `kernel_scaling` shapes (Gaussian,
-//! `KernelSizing::default()`, 128×128 output):
+//! Measures three engine configurations on the `kernel_scaling` shapes
+//! (Gaussian, `KernelSizing::default()`, 128×128 output):
 //!
 //! * `direct` — [`ConvBackend::Direct`], the spatial reference loop;
-//! * `fft` — [`ConvBackend::FftComplexSerial`], the PR 5 complex
-//!   overlap-save engine, kept as the measurable baseline (the row name
-//!   is unchanged so the JSON stays comparable across releases);
 //! * `rfft` — [`ConvBackend::FftOverlapSave`] at one worker: the
 //!   real-input half-size-trick pipeline, serial tile loop;
 //! * `rfft_par` — the same engine at [`PAR_WORKERS`] workers (parallel
@@ -19,12 +16,6 @@
 //!   `cl32` shape (the seed complex engine measured 12.6×; the real-input
 //!   refactor re-measured 25.3× — 6× leaves room for machine noise, not
 //!   drift);
-//! * `rfft_par` is not at least 1.2× the complex-serial baseline on
-//!   `cl32` — the half-size trick halves transform arithmetic (measured
-//!   1.33–1.56× across runs on the single-core reference host, where
-//!   cl32 fits one tile and the worker clamp keeps the run serial;
-//!   multi-core hosts add the tile-parallel speedup on top), so the
-//!   margin must not erode below the arithmetic floor;
 //! * [`ConvBackend::Auto`] resolves to a backend measurably slower than
 //!   the other engine on any measured shape — i.e. the
 //!   `AUTO_CROSSOVER_KERNEL_AREA` model has drifted from reality.
@@ -35,7 +26,7 @@
 //!
 //! Run with `cargo run --release -p rrs-bench --bin bench_convolution`;
 //! writes `BENCH_convolution.json` with a `dispatch` section recording
-//! per-shape minima for all four engines and the resolved backend.
+//! per-shape minima for every measured engine and the resolved backend.
 
 use rrs_bench::Harness;
 use rrs_grid::Window;
@@ -94,7 +85,7 @@ fn main() {
         let crossover = shape.label.starts_with('k');
         let group = if crossover { "crossover" } else { "backend" };
         // Crossover probes only need the two engines Auto picks between;
-        // backend shapes measure the full four-engine grid.
+        // backend shapes add the parallel real-input run.
         let engines: &[(&str, ConvBackend, usize)] = if crossover {
             &[
                 ("direct", ConvBackend::Direct, 1),
@@ -103,7 +94,6 @@ fn main() {
         } else {
             &[
                 ("direct", ConvBackend::Direct, 1),
-                ("fft", ConvBackend::FftComplexSerial, 1),
                 ("rfft", ConvBackend::FftOverlapSave, 1),
                 ("rfft_par", ConvBackend::FftOverlapSave, PAR_WORKERS),
             ]
@@ -148,36 +138,19 @@ fn main() {
              \"rfft_min_ns\": {rfft_min:.1}, \"direct_over_rfft\": {ratio:.3}",
             shape.label
         );
-        if let (Some(fft_min), Some(par_min)) = (min_of("fft"), min_of("rfft_par")) {
-            entry.push_str(&format!(
-                ", \"fft_min_ns\": {fft_min:.1}, \"rfft_par_min_ns\": {par_min:.1}, \
-                 \"fft_over_rfft_par\": {:.3}",
-                fft_min / par_min
-            ));
+        if let Some(par_min) = min_of("rfft_par") {
+            entry.push_str(&format!(", \"rfft_par_min_ns\": {par_min:.1}"));
         }
         entry.push_str(&format!(", \"auto_resolved\": \"{resolved:?}\"}}"));
         dispatch_entries.push(entry);
 
-        if shape.gated {
-            if ratio < 6.0 {
-                eprintln!(
-                    "FAIL: real-input FFT engine is only {ratio:.2}x the direct loop on {} \
-                     (gate: >= 6x)",
-                    shape.label
-                );
-                failed = true;
-            }
-            let fft_min = min_of("fft").expect("gated shapes measure the full grid");
-            let par_min = min_of("rfft_par").expect("gated shapes measure the full grid");
-            let gain = fft_min / par_min;
-            if gain < 1.2 {
-                eprintln!(
-                    "FAIL: parallel real-input engine is only {gain:.2}x the complex-serial \
-                     baseline on {} (gate: >= 1.2x)",
-                    shape.label
-                );
-                failed = true;
-            }
+        if shape.gated && ratio < 6.0 {
+            eprintln!(
+                "FAIL: real-input FFT engine is only {ratio:.2}x the direct loop on {} \
+                 (gate: >= 6x)",
+                shape.label
+            );
+            failed = true;
         }
         // Auto must land on the measured winner; 10% slack absorbs timing
         // noise on shapes where the engines are close.

@@ -11,7 +11,9 @@
 //! sample standard deviation over the timed reps. Defaults (3 warmup,
 //! 10 reps) are tuned for the paper-scale workloads; override globally
 //! with `RRS_BENCH_WARMUP` / `RRS_BENCH_REPS` or per-suite via
-//! [`Harness::with_reps`].
+//! [`Harness::with_reps`]. Variants that a gate compares against each
+//! other go through [`Harness::bench_interleaved`], which alternates them
+//! rep by rep so a slow phase of a shared host hits every variant alike.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -97,6 +99,43 @@ impl Harness {
             black_box(f());
             samples.push(t0.elapsed().as_nanos() as f64);
         }
+        self.record(name, elements, samples);
+    }
+
+    /// Times several variants of one workload with their reps
+    /// interleaved: rep `r` runs every variant once, starting from
+    /// variant `r mod n`, so neither host drift nor running first favours
+    /// one variant. Records one entry per `(name, variant)` pair, in
+    /// order, exactly as [`bench_elems`](Harness::bench_elems) would, and
+    /// returns each variant's samples in rep order (ns), so callers can
+    /// pair variants rep by rep.
+    pub fn bench_interleaved(
+        &mut self,
+        elements: u64,
+        variants: &mut [(&str, &mut dyn FnMut())],
+    ) -> Vec<Vec<f64>> {
+        let n = variants.len();
+        for (_, f) in variants.iter_mut() {
+            for _ in 0..self.warmup {
+                f();
+            }
+        }
+        let mut samples = vec![Vec::with_capacity(self.reps as usize); n];
+        for rep in 0..self.reps as usize {
+            for k in 0..n {
+                let i = (rep + k) % n;
+                let t0 = Instant::now();
+                (variants[i].1)();
+                samples[i].push(t0.elapsed().as_nanos() as f64);
+            }
+        }
+        for ((name, _), samples) in variants.iter().zip(&samples) {
+            self.record(name, Some(elements), samples.clone());
+        }
+        samples
+    }
+
+    fn record(&mut self, name: &str, elements: Option<u64>, mut samples: Vec<f64>) {
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let n = samples.len();
         let median = if n % 2 == 1 {
@@ -112,7 +151,7 @@ impl Harness {
         };
         let record = BenchRecord {
             name: name.to_string(),
-            reps: self.reps,
+            reps: n as u64,
             min_ns: samples[0],
             median_ns: median,
             mean_ns: mean,

@@ -45,19 +45,19 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FaultSite {
-    /// One row-slice of a worker band in `rrs-par`
-    /// (`try_par_row_chunks_mut_chaos`). Polled inside the band's
-    /// panic-containment, so `Panic` plans are caught per band.
+    /// One row-slice of a worker band in `rrs-par` (`try_par_rows`).
+    /// Polled inside the slice's panic containment, so `Panic` plans are
+    /// caught per band.
     ParBandSlice,
-    /// One overlap-save tile in either FFT convolution engine
-    /// (`FftEngine::convolve` / `convolve_rfft`). Contained by the
-    /// degradation dispatcher's `catch_unwind`.
+    /// One overlap-save tile in the FFT convolution engine
+    /// (`FftEngine::convolve_rfft`). Contained by the degradation
+    /// ladder's `catch_unwind`.
     FftTile,
     /// One strip emitted by `StripGenerator::try_strip_at`. Polled with
     /// [`ChaosInjector::poll_contained`].
     StripTile,
     /// One plan-cache / kernel-spectrum lookup in the FFT convolution
-    /// path. Contained by the degradation dispatcher.
+    /// path. Contained by the degradation ladder.
     PlanCacheLookup,
     /// One backoff sleep inside `RetryPolicy`. Polled with
     /// [`ChaosInjector::poll_contained`].

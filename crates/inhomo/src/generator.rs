@@ -13,22 +13,16 @@
 //! homogeneous-kernel dot product.
 
 use rrs_chaos::ChaosInjector;
-use rrs_error::{Budget, ErrorKind, RrsError};
+use rrs_error::{Budget, RrsError};
 use rrs_fft::FftPlanCache;
 use rrs_grid::{Grid2, Window};
 use rrs_obs::{stage, ObsSink, Recorder};
 use rrs_spectrum::SpectrumModel;
-use rrs_surface::internal::{effective_workers, plan_tiles, FftEngine};
-use rrs_surface::{ConvBackend, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use rrs_surface::internal::{run_ladder, FftEngine};
+use rrs_surface::{
+    BackendHealth, ConvBackend, ConvolutionKernel, GenContext, KernelSizing, NoiseField,
+};
 use std::sync::Arc;
-
-/// Failures that warrant retrying the request on a simpler evaluator:
-/// worker panics and injected faults. Budget trips, shape errors and I/O
-/// failures would recur identically on every rung, so they propagate.
-fn is_degradable(e: &RrsError) -> bool {
-    matches!(e.kind(), ErrorKind::WorkerPanicked | ErrorKind::FaultInjected)
-}
 
 /// Assigns per-sample kernel weights; implemented by
 /// [`crate::PlateLayout`] and [`crate::PointLayout`].
@@ -62,6 +56,7 @@ pub struct InhomogeneousGenerator<M> {
     kernels: Vec<ConvolutionKernel>,
     ctx: GenContext,
     fft: FftEngine,
+    health: BackendHealth,
     // Precomputed reaches for noise-window sizing.
     reach_left: i64,
     reach_right: i64,
@@ -145,6 +140,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
             kernels,
             fft: FftEngine::new(Arc::clone(ctx.plan_cache())),
             ctx,
+            health: BackendHealth::new(),
             reach_left,
             reach_right,
             reach_down,
@@ -225,11 +221,12 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// whose every sample carries exactly one kernel at weight 1 (the
     /// bulk of a plate's interior, away from transition bands). Such
     /// windows reduce to a homogeneous convolution, so they dispatch to
-    /// the same engine as
+    /// the same engine, degradation ladder and circuit breaker as
     /// [`ConvolutionGenerator`](rrs_surface::ConvolutionGenerator):
     /// [`ConvBackend::FftOverlapSave`] or an [`ConvBackend::Auto`]
-    /// resolution of it runs overlap-save FFT tiles; windows that blend
-    /// kernels anywhere — or mix two pure regions — always fall back to
+    /// resolution of it runs overlap-save FFT tiles, degrading to the
+    /// per-sample loop on a worker panic or injected fault; windows that
+    /// blend kernels anywhere — or mix two pure regions — always fall back to
     /// the per-sample direct loop, which is the only evaluator of the
     /// blended sum. The default [`ConvBackend::Direct`] skips the
     /// pure-window scan entirely and is bit-identical to previous
@@ -275,38 +272,65 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// noise window or output field is materialised.
     pub fn try_generate(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
         self.ctx.budget().check()?;
+        let mut pure = None;
         if self.ctx.backend() != ConvBackend::Direct {
             // The pure-window scan is O(nx·ny) map lookups; admit the
             // output footprint first so an oversized request still fails
             // the byte ceiling before any of that work runs.
-            self.ctx
-                .budget()
-                .admit("inhomogeneous generation", win.nx as u128 * win.ny as u128 * 8)
-                .inspect_err(|_| {
-                    self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
-                })?;
-            if let Some(ki) = self.pure_kernel(win) {
-                let (kw, kh) = self.kernels[ki].extent();
-                let resolved = self.ctx.backend().resolve(kw, kh);
-                if matches!(
-                    resolved,
-                    ConvBackend::FftOverlapSave | ConvBackend::FftComplexSerial
-                ) {
-                    match self.generate_pure_fft(ki, resolved, noise, win) {
-                        Ok(out) => return Ok(out),
-                        // Every FFT rung failed on a worker panic or an
-                        // injected fault: degrade to the per-sample direct
-                        // loop below, which is the bit-exact reference
-                        // evaluator and shares no FFT machinery.
-                        Err(e) if is_degradable(&e) => {
-                            self.ctx.recorder().add_counter(stage::CONV_DEGRADED_TO_DIRECT, 1);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
+            self.admit(win.nx as u128 * win.ny as u128)?;
+            pure = self.pure_kernel(win);
         }
-        self.ctx.recorder().add_counter(stage::CONV_BACKEND_DIRECT, 1);
+        // A pure window is the homogeneous convolution of kernel `ki`, so
+        // it may take the FFT rung of the shared ladder; the per-sample
+        // loop, the only evaluator of the blended sum, is the Direct rung.
+        let Window { x0, y0, nx, ny } = win;
+        let mut fft_win = Vec::new();
+        let (out, served) = run_ladder(
+            &self.ctx,
+            &self.health,
+            pure.map(|ki| (&self.fft, ki, &self.kernels[ki])),
+            nx,
+            ny,
+            |fft_scratch| {
+                // Only the FFT rung reads this window: the pure kernel's
+                // own noise window, as the homogeneous generator sizes it.
+                let (Some(scratch), Some(ki)) = (fft_scratch, pure) else {
+                    return Ok(&[]);
+                };
+                let (kw, kh) = self.kernels[ki].extent();
+                let (ox, oy) = self.kernels[ki].origin();
+                let (ww, wh) = (nx + kw - 1, ny + kh - 1);
+                self.admit(ww as u128 * wh as u128 + nx as u128 * ny as u128 + scratch)?;
+                let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
+                let (wx0, wy0) = (x0 - (ox + kw as i64 - 1), y0 - (oy + kh as i64 - 1));
+                noise.try_window_into(wx0, wy0, ww, wh, &mut fft_win)?;
+                self.ctx.recorder().finish(span);
+                Ok(&fft_win)
+            },
+            |_| self.blend(noise, win),
+        )?;
+        if served == ConvBackend::FftOverlapSave {
+            let mut shard = self.ctx.recorder().shard();
+            shard.add(stage::INHOMO_PURE_SAMPLES, (nx * ny) as u64);
+            shard.add(stage::INHOMO_KERNEL_EVALS, (nx * ny) as u64);
+            self.ctx.recorder().absorb(shard);
+        }
+        Ok(out)
+    }
+
+    /// Admission control for a request materialising `samples` f64s: a
+    /// rejection ticks [`stage::BUDGET_REJECT`] before anything is
+    /// allocated.
+    fn admit(&self, samples: u128) -> Result<(), RrsError> {
+        self.ctx.budget().admit("inhomogeneous generation", samples * 8).inspect_err(|_| {
+            self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
+        })
+    }
+
+    /// The per-sample loop: `f(n) = Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over a noise
+    /// window wide enough for every kernel. The bit-exact reference for
+    /// every window, and the only evaluator of blended samples.
+    fn blend(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
         let Window { x0, y0, nx, ny } = win;
         let wx0 = x0 - self.reach_left;
         let wy0 = y0 - self.reach_down;
@@ -314,10 +338,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         let wh = ny + (self.reach_down + self.reach_up) as usize;
         // Noise window plus output field, estimated in u128 before either
         // is allocated.
-        let required = (ww as u128 * wh as u128 + nx as u128 * ny as u128) * 8;
-        self.ctx.budget().admit("inhomogeneous generation", required).inspect_err(|_| {
-            self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
-        })?;
+        self.admit(ww as u128 * wh as u128 + nx as u128 * ny as u128)?;
         let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
         let noise_win = noise.window(wx0, wy0, ww, wh);
         self.ctx.recorder().finish(span);
@@ -325,7 +346,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         let mut out = Grid2::zeros(nx, ny);
         let out_slice = out.as_mut_slice();
         let span = self.ctx.recorder().start(stage::CORRELATE);
-        rrs_par::try_par_row_chunks_mut_chaos(
+        rrs_par::try_par_rows(
             out_slice,
             nx,
             self.ctx.workers(),
@@ -398,102 +419,6 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
             }
         }
         pure
-    }
-
-    /// The homogeneous fast path: the whole window is kernel `ki` at
-    /// weight 1, so `f(n) = (w̃_ki ⊛ X)(n)` exactly — generated like the
-    /// homogeneous convolution generator from a kernel-specific noise
-    /// window through the shared overlap-save engine `resolved` names
-    /// (the parallel real-input pipeline, or the full-complex serial
-    /// baseline), with the budget polled per tile.
-    fn generate_pure_fft(
-        &self,
-        ki: usize,
-        resolved: ConvBackend,
-        noise: &NoiseField,
-        win: Window,
-    ) -> Result<Grid2<f64>, RrsError> {
-        let kernel = &self.kernels[ki];
-        let (kw, kh) = kernel.extent();
-        let (ox, oy) = kernel.origin();
-        let Window { x0, y0, nx, ny } = win;
-        let ww = nx + kw - 1;
-        let wh = ny + kh - 1;
-        let shape = plan_tiles(nx, ny, kw, kh);
-        let scratch = if resolved == ConvBackend::FftComplexSerial {
-            shape.scratch_samples()
-        } else {
-            let w = effective_workers(shape, nx, ny, kw, kh, self.ctx.workers());
-            shape.scratch_samples_real(w)
-        };
-        let required = (ww as u128 * wh as u128 + nx as u128 * ny as u128 + scratch) * 8;
-        self.ctx.budget().admit("inhomogeneous generation", required).inspect_err(|_| {
-            self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
-        })?;
-        let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
-        let noise_win =
-            noise.window(x0 - (ox + kw as i64 - 1), y0 - (oy + kh as i64 - 1), ww, wh);
-        self.ctx.recorder().finish(span);
-        // Graceful degradation: the resolved engine first, then — when it
-        // fails on a worker panic or injected fault — the full-complex
-        // serial baseline. Both rungs failing bubbles the (degradable)
-        // error to `try_generate`, which falls back to the direct loop.
-        let rungs: &[ConvBackend] = if resolved == ConvBackend::FftComplexSerial {
-            &[ConvBackend::FftComplexSerial]
-        } else {
-            &[ConvBackend::FftOverlapSave, ConvBackend::FftComplexSerial]
-        };
-        let mut last_err = None;
-        for (i, &rung) in rungs.iter().enumerate() {
-            if i > 0 {
-                self.ctx.recorder().add_counter(stage::CONV_DEGRADED_TO_FFT_SERIAL, 1);
-            }
-            self.ctx.recorder().add_counter(stage::CONV_BACKEND_FFT, 1);
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                if rung == ConvBackend::FftComplexSerial {
-                    self.fft.convolve(
-                        ki,
-                        kernel,
-                        &noise_win,
-                        ww,
-                        wh,
-                        nx,
-                        ny,
-                        self.ctx.workers(),
-                        self.ctx.recorder(),
-                        self.ctx.budget(),
-                        self.ctx.chaos(),
-                    )
-                } else {
-                    self.fft.convolve_rfft(
-                        ki,
-                        kernel,
-                        &noise_win,
-                        ww,
-                        wh,
-                        nx,
-                        ny,
-                        self.ctx.workers(),
-                        self.ctx.recorder(),
-                        self.ctx.budget(),
-                        self.ctx.chaos(),
-                    )
-                }
-            }))
-            .unwrap_or_else(|p| Err(RrsError::worker_panicked(0, p.as_ref())));
-            match attempt {
-                Ok(out) => {
-                    let mut shard = self.ctx.recorder().shard();
-                    shard.add(stage::INHOMO_PURE_SAMPLES, (nx * ny) as u64);
-                    shard.add(stage::INHOMO_KERNEL_EVALS, (nx * ny) as u64);
-                    self.ctx.recorder().absorb(shard);
-                    return Ok(out);
-                }
-                Err(e) if is_degradable(&e) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.expect("the ladder has at least one rung"))
     }
 
     /// Evaluates `(w̃_ki ⊛ X)(n)` for the sample at window-local
@@ -806,10 +731,9 @@ mod tests {
         use rrs_chaos::{ChaosInjector, FaultKind, FaultSchedule, FaultSite};
         use rrs_obs::Recorder;
         // Pond-free layout: a pure window that would dispatch to the FFT
-        // engine. Faults at FftTile visits 0 and 1 kill both FFT rungs
-        // (overlap-save, then complex-serial); the generator must fall
-        // back to the per-sample direct loop, whose output is the
-        // bit-exact reference the Direct backend produces.
+        // engine. A panic at FftTile visit 0 kills the FFT rung; the
+        // generator must fall back to the per-sample direct loop, whose
+        // output is the bit-exact reference the Direct backend produces.
         let spectrum = sm(1.1, 5.0);
         let make = || {
             let layout = PlateLayout::new(vec![], Some(spectrum), 1.0);
@@ -819,9 +743,7 @@ mod tests {
         let win = Window::new(-8, 4, 24, 20);
         let direct = make().generate(&noise, win);
         let chaos = ChaosInjector::new(
-            FaultSchedule::new(5)
-                .with_fault(FaultSite::FftTile, FaultKind::Error, 0)
-                .with_fault(FaultSite::FftTile, FaultKind::Panic, 1),
+            FaultSchedule::new(5).with_fault(FaultSite::FftTile, FaultKind::Panic, 0),
         );
         let rec = Recorder::enabled();
         let gen = make()
@@ -831,11 +753,64 @@ mod tests {
         let got = gen.try_generate(&noise, win).unwrap();
         assert_eq!(got, direct, "degraded output must match the direct loop bit-for-bit");
         let report = rec.report();
-        assert_eq!(report.counter(stage::CONV_DEGRADED_TO_FFT_SERIAL), 1);
         assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 1);
         assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 1);
-        assert_eq!(chaos.visits(FaultSite::FftTile), 2);
-        assert_eq!(chaos.injected(), 2);
+        assert_eq!(chaos.visits(FaultSite::FftTile), 1);
+        assert_eq!(chaos.injected(), 1);
+    }
+
+    #[test]
+    fn open_breaker_skips_pure_windows_to_the_direct_loop_until_a_probe_succeeds() {
+        use rrs_chaos::{ChaosInjector, FaultKind, FaultSchedule, FaultSite};
+        // A pure window whose FFT rung fails THRESHOLD times in a row
+        // opens the breaker: the next request skips straight to the
+        // per-sample loop without touching the FFT engine, and is
+        // bit-identical to the Direct backend.
+        let spectrum = sm(1.1, 5.0);
+        let make = || {
+            let layout = PlateLayout::new(vec![], Some(spectrum), 1.0);
+            InhomogeneousGenerator::new(layout, sizing()).with_workers(1)
+        };
+        let noise = NoiseField::new(53);
+        let win = Window::new(5, -7, 20, 16);
+        let direct = make().with_backend(ConvBackend::Direct).generate(&noise, win);
+        let mut schedule = FaultSchedule::new(9);
+        for visit in 0..BackendHealth::THRESHOLD {
+            schedule = schedule.with_fault(FaultSite::FftTile, FaultKind::Error, visit);
+        }
+        let chaos = ChaosInjector::new(schedule);
+        let gen = make().with_backend(ConvBackend::FftOverlapSave).with_chaos(chaos.clone());
+        for _ in 0..BackendHealth::THRESHOLD {
+            assert_eq!(gen.try_generate(&noise, win).unwrap(), direct);
+        }
+        assert!(gen.health.is_open());
+
+        let rec = Recorder::enabled();
+        let gen = gen.with_recorder(rec.clone());
+        let skipped = gen.try_generate(&noise, win).unwrap();
+        assert_eq!(skipped, direct, "a breaker skip must land on the Direct bits");
+        let report = rec.report();
+        assert_eq!(report.counter(stage::CONV_BREAKER_SKIPS), 1);
+        assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 1);
+        assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 0);
+        assert_eq!(chaos.visits(FaultSite::FftTile), BackendHealth::THRESHOLD);
+
+        // Skipped requests keep landing on the per-sample loop until the
+        // probe request: the schedule is exhausted, so the probe succeeds
+        // on the FFT engine and that one success closes the breaker.
+        for _ in 1..BackendHealth::PROBE_EVERY {
+            gen.try_generate(&noise, win).unwrap();
+        }
+        assert_eq!(rec.report().counter(stage::CONV_BREAKER_SKIPS), BackendHealth::PROBE_EVERY - 1);
+        assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 1, "the probe ran the FFT rung");
+        assert!(!gen.health.is_open());
+        assert_eq!(gen.health.consecutive_failures(), 0);
+        let scale = direct.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
+        let fft = gen.try_generate(&noise, win).unwrap();
+        for (a, b) in fft.as_slice().iter().zip(direct.as_slice()) {
+            assert!((a - b).abs() <= 1e-9 * scale);
+        }
+        assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 2);
     }
 
     #[test]

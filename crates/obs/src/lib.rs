@@ -99,17 +99,11 @@ pub mod stage {
     pub const PAR_BANDS: &str = "par/bands";
     /// Counter: worker bands whose closure panicked.
     pub const PAR_WORKER_PANICS: &str = "par/worker_panics";
-    /// Counter: serial-fallback retries after a parallel panic.
-    pub const PAR_SERIAL_FALLBACKS: &str = "par/serial_fallbacks";
-    /// Counter: windows the degradation ladder re-ran on the serial
-    /// complex FFT engine after the parallel real-input engine failed.
-    pub const CONV_DEGRADED_TO_FFT_SERIAL: &str = "conv/degraded_to_fft_serial";
-    /// Counter: windows the degradation ladder re-ran on the direct
-    /// spatial backend after every FFT engine failed.
+    /// Counter: windows the degradation ladder ran on the direct spatial
+    /// backend because the FFT engine failed or its breaker was open.
     pub const CONV_DEGRADED_TO_DIRECT: &str = "conv/degraded_to_direct";
-    /// Counter: backend attempts skipped because the per-generator
-    /// circuit breaker held that backend open (too many consecutive
-    /// failures).
+    /// Counter: FFT attempts skipped because the per-generator circuit
+    /// breaker held the FFT engine open (too many consecutive failures).
     pub const CONV_BREAKER_SKIPS: &str = "conv/breaker_skips";
     /// Counter: FFT plan/kernel-spectrum cache locks found poisoned and
     /// rebuilt from empty instead of propagating the poison.

@@ -442,11 +442,13 @@ pub fn error_kind_from_wire(v: u8) -> Result<ErrorKind, RrsError> {
     })
 }
 
-fn backend_to_wire(b: ConvBackend) -> u8 {
+/// A backend's wire number. Number 2 is retired (it named the deleted
+/// complex-serial FFT engine) and must never be reassigned: a peer still
+/// sending it gets the typed unknown-backend error.
+pub(crate) fn backend_to_wire(b: ConvBackend) -> u8 {
     match b {
         ConvBackend::Direct => 0,
         ConvBackend::FftOverlapSave => 1,
-        ConvBackend::FftComplexSerial => 2,
         ConvBackend::Auto => 3,
         // `ConvBackend` is non-exhaustive: a future variant must get its
         // own wire number before it can be served.
@@ -458,7 +460,6 @@ fn backend_from_wire(v: u8) -> Result<ConvBackend, RrsError> {
     Ok(match v {
         0 => ConvBackend::Direct,
         1 => ConvBackend::FftOverlapSave,
-        2 => ConvBackend::FftComplexSerial,
         3 => ConvBackend::Auto,
         other => return Err(RrsError::corrupt_snapshot(format!("unknown backend {other}"))),
     })

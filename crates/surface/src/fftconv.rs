@@ -1,6 +1,5 @@
-//! Overlap-save FFT convolution — the engines behind
-//! [`ConvBackend::FftOverlapSave`](crate::ConvBackend) and
-//! [`ConvBackend::FftComplexSerial`](crate::ConvBackend).
+//! Overlap-save FFT convolution — the engine behind
+//! [`ConvBackend::FftOverlapSave`](crate::ConvBackend).
 //!
 //! The direct correlate loop costs `O(nx·ny·kw·kh)`; by the convolution
 //! theorem the same surface is `IFFT(FFT(X)·FFT(w̃))` at
@@ -11,18 +10,14 @@
 //! keeps only the `(fft_nx−kw+1) × (fft_ny−kh+1)` outputs whose circular
 //! convolution never wrapped.
 //!
-//! Two engines share that tiling:
-//!
-//! * [`FftEngine::convolve_rfft`] — the **real-input** pipeline
-//!   ([`RealFft2d`], half-size complex trick, packed Hermitian spectra)
-//!   with tiles dispatched across `rrs-par` workers. Each worker owns a
-//!   private [`TileArena`] (plan handle, real tile, packed spectrum,
-//!   column scratch), so steady-state tile processing allocates nothing
-//!   and workers never contend. Tiles write strictly disjoint output
-//!   regions, so the result is bit-identical for every worker count.
-//! * [`FftEngine::convolve`] — the full-complex serial loop, kept
-//!   reachable (via `ConvBackend::FftComplexSerial`) as the bit-for-bit
-//!   comparison baseline for the real-input path.
+//! [`FftEngine::convolve_rfft`] runs that tiling through the
+//! **real-input** pipeline ([`RealFft2d`], half-size complex trick,
+//! packed Hermitian spectra) with tiles dispatched across `rrs-par`
+//! workers. Each worker owns a private [`TileArena`] (real tile, packed
+//! spectrum, column scratch), so steady-state tile processing allocates
+//! nothing and workers never contend. Tiles write strictly disjoint
+//! output regions, so the result is bit-identical for every worker
+//! count.
 //!
 //! # Tile correctness
 //!
@@ -50,7 +45,7 @@
 use crate::kernel::ConvolutionKernel;
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
-use rrs_fft::{Direction, FftPlanCache, RealFft2d};
+use rrs_fft::{FftPlanCache, RealFft2d};
 use rrs_grid::Grid2;
 use rrs_num::Complex64;
 use rrs_obs::{stage, ObsSink, Recorder, Shard};
@@ -60,31 +55,24 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The overlap-save tile shape chosen for one `(output, kernel)` geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TileShape {
+pub(crate) struct TileShape {
     /// FFT side along x (power of two, ≥ `kw`).
-    pub fft_nx: usize,
+    pub(crate) fft_nx: usize,
     /// FFT side along y (power of two, ≥ `kh`).
-    pub fft_ny: usize,
+    pub(crate) fft_ny: usize,
 }
 
 impl TileShape {
     /// Valid (non-wrapped) outputs per tile along each axis.
-    pub fn valid(&self, kw: usize, kh: usize) -> (usize, usize) {
+    pub(crate) fn valid(&self, kw: usize, kh: usize) -> (usize, usize) {
         (self.fft_nx - kw + 1, self.fft_ny - kh + 1)
     }
 
     /// Tile grid `(columns, rows)` this shape induces on an `nx × ny`
     /// output under a `kw × kh` kernel.
-    pub fn tiles(&self, nx: usize, ny: usize, kw: usize, kh: usize) -> (usize, usize) {
+    pub(crate) fn tiles(&self, nx: usize, ny: usize, kw: usize, kh: usize) -> (usize, usize) {
         let (vx, vy) = self.valid(kw, kh);
         (nx.div_ceil(vx), ny.div_ceil(vy))
-    }
-
-    /// Complex workspace footprint of the full-complex serial engine for
-    /// this shape, in f64-equivalents: one tile buffer plus one cached
-    /// kernel spectrum, two f64s per complex sample each.
-    pub fn scratch_samples(&self) -> u128 {
-        4 * self.fft_nx as u128 * self.fft_ny as u128
     }
 
     /// Packed (Hermitian, half-width-plus-one) spectrum samples per tile.
@@ -97,7 +85,7 @@ impl TileShape {
     /// packed spectrum and the transform's column scratch, and one packed
     /// kernel spectrum is shared. Deterministic in its arguments, so
     /// admission control and the convolve loop agree on the footprint.
-    pub fn scratch_samples_real(&self, workers: usize) -> u128 {
+    pub(crate) fn scratch_samples_real(&self, workers: usize) -> u128 {
         let packed = 2 * self.packed_samples();
         let scratch = 2 * ((self.fft_nx / 2).max(self.fft_ny).max(1)) as u128;
         let per_worker = self.fft_nx as u128 * self.fft_ny as u128 + packed + scratch;
@@ -124,7 +112,7 @@ fn axis_candidates(out_n: usize, k: usize) -> Vec<usize> {
 /// `kw × kh` kernel by exact evaluation of the modelled transform cost
 /// over all power-of-two tile shapes. Deterministic in its arguments, so
 /// admission control and the convolve loop agree on the footprint.
-pub fn plan_tiles(nx: usize, ny: usize, kw: usize, kh: usize) -> TileShape {
+pub(crate) fn plan_tiles(nx: usize, ny: usize, kw: usize, kh: usize) -> TileShape {
     let mut best = TileShape { fft_nx: 0, fft_ny: 0 };
     let mut best_cost = f64::INFINITY;
     for &fx in &axis_candidates(nx, kw) {
@@ -146,7 +134,7 @@ pub fn plan_tiles(nx: usize, ny: usize, kw: usize, kh: usize) -> TileShape {
 /// request: clamped to the number of tiles (a single-tile request runs
 /// serially whatever the configuration). Deterministic, and used by both
 /// admission control and the engine so the two agree.
-pub fn effective_workers(shape: TileShape, nx: usize, ny: usize, kw: usize, kh: usize, workers: usize) -> usize {
+pub(crate) fn effective_workers(shape: TileShape, nx: usize, ny: usize, kw: usize, kh: usize, workers: usize) -> usize {
     let (tx, ty) = shape.tiles(nx, ny, kw, kh);
     workers.max(1).min(tx * ty)
 }
@@ -195,13 +183,11 @@ unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
 /// The overlap-save engine: an [`FftPlanCache`] shared through the owning
-/// generator plus the forward transforms of its kernels — full-complex
-/// and packed-real spectra cached independently per
-/// `(kernel id, tile shape)` — so repeated windows and strip tiles never
-/// re-transform the kernel.
+/// generator plus the packed-real forward transforms of its kernels,
+/// cached per `(kernel id, tile shape)`, so repeated windows and strip
+/// tiles never re-transform the kernel.
 pub struct FftEngine {
     plans: Arc<FftPlanCache>,
-    kernel_ffts: Mutex<HashMap<(usize, usize, usize), Arc<Vec<Complex64>>>>,
     kernel_rffts: Mutex<HashMap<(usize, usize, usize), Arc<Vec<Complex64>>>>,
 }
 
@@ -228,11 +214,7 @@ fn lock_spectra<'a>(
 impl FftEngine {
     /// Builds an engine drawing 2-D transforms from `plans`.
     pub fn new(plans: Arc<FftPlanCache>) -> Self {
-        Self {
-            plans,
-            kernel_ffts: Mutex::new(HashMap::new()),
-            kernel_rffts: Mutex::new(HashMap::new()),
-        }
+        Self { plans, kernel_rffts: Mutex::new(HashMap::new()) }
     }
 
     /// The plan cache this engine draws 2-D transforms from.
@@ -240,40 +222,11 @@ impl FftEngine {
         &self.plans
     }
 
-    /// The full-complex kernel spectrum on the `tile` lattice: the kernel
-    /// weights zero-padded at the tile origin and forward-transformed
-    /// once, then cached under `kernel_id` (callers with several kernels
-    /// — the inhomogeneous blender — key each one distinctly).
-    fn kernel_spectrum(
-        &self,
-        kernel_id: usize,
-        kernel: &ConvolutionKernel,
-        tile: TileShape,
-        workers: usize,
-        obs: &Recorder,
-    ) -> Arc<Vec<Complex64>> {
-        let key = (kernel_id, tile.fft_nx, tile.fft_ny);
-        if let Some(cached) = lock_spectra(&self.kernel_ffts, obs).get(&key) {
-            return cached.clone();
-        }
-        let (kw, kh) = kernel.extent();
-        let weights = kernel.weights();
-        let mut buf = vec![Complex64::ZERO; tile.fft_nx * tile.fft_ny];
-        for b in 0..kh {
-            let krow = weights.row(b);
-            let dst = &mut buf[b * tile.fft_nx..b * tile.fft_nx + kw];
-            for (slot, &v) in dst.iter_mut().zip(krow) {
-                *slot = Complex64::from_re(v);
-            }
-        }
-        self.plans.plan(tile.fft_nx, tile.fft_ny, workers).process(&mut buf, Direction::Forward);
-        let arc = Arc::new(buf);
-        lock_spectra(&self.kernel_ffts, obs).entry(key).or_insert(arc).clone()
-    }
-
-    /// The packed-real kernel spectrum on the `tile` lattice, transformed
-    /// once with the shared serial real plan and cached like
-    /// [`FftEngine::kernel_spectrum`].
+    /// The packed-real kernel spectrum on the `tile` lattice: the kernel
+    /// weights zero-padded at the tile origin, transformed once with the
+    /// shared serial real plan and cached under `kernel_id` (callers with
+    /// several kernels — the inhomogeneous generator — key each one
+    /// distinctly).
     fn kernel_spectrum_real(
         &self,
         kernel_id: usize,
@@ -412,94 +365,6 @@ impl FftEngine {
         }
         obs.finish(span);
         obs.add_counter(stage::CONV_FFT_TILES, total as u64);
-        obs.add_counter(stage::CORRELATE_SAMPLES, (nx * ny) as u64);
-        Ok(out)
-    }
-
-    /// Convolves a materialised `ww × wh` noise window with `kernel`
-    /// through the **full-complex serial** overlap-save loop — the
-    /// baseline the real-input pipeline is compared against. Computes the
-    /// same sum as [`FftEngine::convolve_rfft`] and the direct loop; the
-    /// attached budget is polled once per tile.
-    #[allow(clippy::too_many_arguments)]
-    pub fn convolve(
-        &self,
-        kernel_id: usize,
-        kernel: &ConvolutionKernel,
-        win: &[f64],
-        ww: usize,
-        wh: usize,
-        nx: usize,
-        ny: usize,
-        workers: usize,
-        obs: &Recorder,
-        budget: &Budget,
-        chaos: &ChaosInjector,
-    ) -> Result<Grid2<f64>, RrsError> {
-        let (kw, kh) = kernel.extent();
-        debug_assert_eq!(win.len(), ww * wh);
-        debug_assert_eq!(ww, nx + kw - 1);
-        debug_assert_eq!(wh, ny + kh - 1);
-        let tile_shape = plan_tiles(nx, ny, kw, kh);
-        let (fx, fy) = (tile_shape.fft_nx, tile_shape.fft_ny);
-        let (vx, vy) = tile_shape.valid(kw, kh);
-        chaos.poll(FaultSite::PlanCacheLookup)?;
-        let fft = self.plans.plan_observed(fx, fy, workers, obs);
-        let kspec = self.kernel_spectrum(kernel_id, kernel, tile_shape, workers, obs);
-        let polling = budget.needs_polling();
-
-        let mut out = Grid2::zeros(nx, ny);
-        let out_slice = out.as_mut_slice();
-        let mut tile = vec![Complex64::ZERO; fx * fy];
-        let span = obs.start(stage::CORRELATE);
-        let mut tiles = 0u64;
-        let mut oy = 0;
-        while oy < ny {
-            let mut ox = 0;
-            while ox < nx {
-                if polling {
-                    obs.add_counter(stage::BUDGET_POLLS, 1);
-                    budget.check()?;
-                }
-                chaos.poll(FaultSite::FftTile)?;
-                // Gather the segment [ox, ox+fx) × [oy, oy+fy) of the
-                // window, zero-padded past its edges.
-                let cols = (ww - ox).min(fx);
-                for ty in 0..fy {
-                    let trow = &mut tile[ty * fx..(ty + 1) * fx];
-                    let wy = oy + ty;
-                    if wy < wh {
-                        let wrow = &win[wy * ww + ox..wy * ww + ox + cols];
-                        for (slot, &v) in trow.iter_mut().zip(wrow) {
-                            *slot = Complex64::from_re(v);
-                        }
-                        trow[cols..].fill(Complex64::ZERO);
-                    } else {
-                        trow.fill(Complex64::ZERO);
-                    }
-                }
-                fft.process(&mut tile, Direction::Forward);
-                for (z, k) in tile.iter_mut().zip(kspec.iter()) {
-                    *z = *z * *k;
-                }
-                fft.process(&mut tile, Direction::Inverse);
-                // Scatter the non-wrapped outputs.
-                let cx = (nx - ox).min(vx);
-                let cy = (ny - oy).min(vy);
-                for dy in 0..cy {
-                    let src = (kh - 1 + dy) * fx + (kw - 1);
-                    let dst = (oy + dy) * nx + ox;
-                    for dx in 0..cx {
-                        out_slice[dst + dx] = tile[src + dx].re;
-                    }
-                }
-                tiles += 1;
-                ox += vx;
-            }
-            oy += vy;
-        }
-        obs.finish(span);
-        obs.add_counter(stage::CONV_FFT_TILES, tiles);
         obs.add_counter(stage::CORRELATE_SAMPLES, (nx * ny) as u64);
         Ok(out)
     }

@@ -28,18 +28,22 @@ mod fftconv;
 pub mod line;
 pub mod hermitian;
 pub mod kernel;
+mod ladder;
 pub mod noise;
 pub mod stream;
 
 pub use context::GenContext;
-pub use conv::{BackendHealth, ConvBackend, ConvolutionGenerator};
+pub use conv::{ConvBackend, ConvolutionGenerator};
+pub use ladder::BackendHealth;
 
 #[doc(hidden)]
 pub mod internal {
-    //! Workspace-internal seam: the overlap-save engine, shared with
-    //! `rrs-inhomo` so pure-region windows dispatch to the same FFT path
-    //! as the homogeneous generator. Not a stable public API.
-    pub use crate::fftconv::{effective_workers, plan_tiles, FftEngine, TileShape};
+    //! Workspace-internal seam: the overlap-save engine and the
+    //! degradation ladder, shared with `rrs-inhomo` so pure-region windows
+    //! take the same FFT path, breaker and fallback policy as the
+    //! homogeneous generator. Not a stable public API.
+    pub use crate::fftconv::FftEngine;
+    pub use crate::ladder::run_ladder;
 }
 pub use direct::DirectDftGenerator;
 pub use kernel::{ConvolutionKernel, KernelSizing};

@@ -77,10 +77,10 @@
 //! FFT tiles, plan-cache lookups, strip boundaries, retry backoffs,
 //! checkpoint writes). Injected faults always surface as typed
 //! [`error::RrsError`]s — never an escaped panic — and FFT backend
-//! failures degrade down the ladder
-//! `FftOverlapSave → FftComplexSerial → Direct` behind a per-generator
-//! circuit breaker ([`surface::BackendHealth`]), with the `Direct` rung
-//! reproducing the reference output bit-for-bit. The default disabled
+//! failures degrade down the one ladder `FftOverlapSave → Direct`, shared
+//! by the homogeneous and inhomogeneous generators, behind a
+//! per-generator circuit breaker ([`surface::BackendHealth`]), with the
+//! `Direct` rung reproducing the reference output bit-for-bit. The default disabled
 //! injector costs one pointer test per site and changes nothing.
 
 pub use rrs_chaos as chaos;

@@ -11,7 +11,7 @@
 //! * **typed outcomes** — every failed run's [`ErrorKind`] matches the
 //!   injected kind (`Panic → WorkerPanicked`, `Error → FaultInjected`,
 //!   `Cancel → Cancelled`, `Deadline → DeadlineExceeded`);
-//! * **bit-identical degradation** — when both FFT rungs are killed, the
+//! * **bit-identical degradation** — when the FFT rung is killed, the
 //!   Direct rung serves the request with output FNV-1a-hash-equal to a
 //!   clean Direct run, and the degradation is visible in the obs report;
 //! * **replayability** — the same schedule seed reproduces the same
@@ -62,8 +62,12 @@ fn io_err() -> RrsError {
     RrsError::from(std::io::Error::other("transient disk wobble"))
 }
 
-fn tmp_dir() -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("rrs_chaos_torture_{}", std::process::id()));
+/// A scratch directory private to one test: the tests of this file run
+/// concurrently, and a checkpoint path shared between them would let one
+/// test's atomic rename race another's.
+fn tmp_dir(test: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir()
+        .join(format!("rrs_chaos_torture_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
 }
@@ -125,7 +129,7 @@ fn run_pipeline(chaos: &ChaosInjector, dir: &std::path::Path) -> Result<u64, Rrs
 
 #[test]
 fn armed_but_empty_schedule_visits_every_site_and_changes_nothing() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("armed_but_empty");
     let clean = run_pipeline(&ChaosInjector::disabled(), &dir).unwrap();
     // An armed schedule with no faults counts visits but injects nothing;
     // it must not change a single output bit.
@@ -148,7 +152,7 @@ fn armed_but_empty_schedule_visits_every_site_and_changes_nothing() {
 #[test]
 fn every_site_and_kind_returns_typed_errors_or_degrades() {
     quiet_chaos_panics();
-    let dir = tmp_dir();
+    let dir = tmp_dir("every_site_and_kind");
     for site in FaultSite::ALL {
         for kind in FaultKind::ALL {
             for at_index in [0u64, 1] {
@@ -186,7 +190,7 @@ fn every_site_and_kind_returns_typed_errors_or_degrades() {
 }
 
 #[test]
-fn killing_both_fft_rungs_degrades_to_direct_hash_equal() {
+fn killing_the_fft_rung_degrades_to_direct_hash_equal() {
     quiet_chaos_panics();
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
     let noise = NoiseField::new(29);
@@ -197,13 +201,10 @@ fn killing_both_fft_rungs_degrades_to_direct_hash_equal() {
             .with_backend(ConvBackend::Direct)
             .generate(&noise, win),
     );
-    // Serial tile loops visit FftTile deterministically: visit 0 kills
-    // the overlap-save rung, visit 1 the complex-serial rung, and the
-    // Direct rung serves the request.
+    // The serial tile loop visits FftTile deterministically: visit 0
+    // kills the overlap-save rung and the Direct rung serves the request.
     let chaos = ChaosInjector::new(
-        FaultSchedule::new(3)
-            .with_fault(FaultSite::FftTile, FaultKind::Panic, 0)
-            .with_fault(FaultSite::FftTile, FaultKind::Error, 1),
+        FaultSchedule::new(3).with_fault(FaultSite::FftTile, FaultKind::Panic, 0),
     );
     let rec = Recorder::enabled();
     let got = ConvolutionGenerator::new(&s, KernelSizing::default())
@@ -218,9 +219,8 @@ fn killing_both_fft_rungs_degrades_to_direct_hash_equal() {
         clean_hash,
         "degraded output must hash identically to a clean Direct run"
     );
-    assert_eq!(chaos.visits(FaultSite::FftTile), 2, "one tile poll per failed rung");
+    assert_eq!(chaos.visits(FaultSite::FftTile), 1, "one tile poll on the failed rung");
     let report = rec.report();
-    assert_eq!(report.counter("conv/degraded_to_fft_serial"), 1);
     assert_eq!(report.counter("conv/degraded_to_direct"), 1);
     assert_eq!(report.counter("conv/backend_direct"), 1);
 }
@@ -228,7 +228,7 @@ fn killing_both_fft_rungs_degrades_to_direct_hash_equal() {
 #[test]
 fn seeded_schedules_replay_bit_for_bit() {
     quiet_chaos_panics();
-    let dir = tmp_dir();
+    let dir = tmp_dir("seeded_replay");
     for seed in [1u64, 17, 0xDEAD_BEEF] {
         let run = |schedule: FaultSchedule| {
             let chaos = ChaosInjector::new(schedule);
@@ -248,16 +248,14 @@ fn seeded_schedules_replay_bit_for_bit() {
 #[test]
 fn degraded_strip_stream_still_tiles_seamlessly() {
     quiet_chaos_panics();
-    // Kill both FFT rungs for the first strip only; later strips run the
+    // Kill the FFT rung for the first strip only; later strips run the
     // FFT path. The degraded strip must still tile seamlessly against
     // its neighbours because the Direct rung computes the same sum.
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
     let clean = StripGenerator::new(&s, KernelSizing::default(), 24, 11)
         .with_backend(ConvBackend::Direct);
     let chaos = ChaosInjector::new(
-        FaultSchedule::new(5)
-            .with_fault(FaultSite::FftTile, FaultKind::Panic, 0)
-            .with_fault(FaultSite::FftTile, FaultKind::Error, 1),
+        FaultSchedule::new(5).with_fault(FaultSite::FftTile, FaultKind::Panic, 0),
     );
     let faulted = StripGenerator::new(&s, KernelSizing::default(), 24, 11)
         .with_backend(ConvBackend::FftOverlapSave)

@@ -1,62 +1,43 @@
 //! Panic containment across the parallel layer, exercised from the
 //! facade: a worker that panics mid-band must surface as a typed
-//! `RrsError::WorkerPanicked` naming the band — never abort the process
-//! or poison the other bands — and the serial fallback must reproduce
-//! the parallel result bit-for-bit (the static partition is identical).
+//! `RrsError::WorkerPanicked` naming the lowest failed band — never abort
+//! the process or poison the other bands.
 
-use rrs::error::{ErrorKind, RrsError};
-use rrs::par::{par_row_chunks_mut_with_fallback, try_par_row_chunks_mut};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use rrs::chaos::ChaosInjector;
+use rrs::error::{Budget, ErrorKind, RrsError};
+use rrs::obs::Recorder;
+use rrs::par::try_par_rows;
 
 const NX: usize = 16;
 const NY: usize = 12;
 
-fn fill(row0: usize, rows: &mut [f64]) {
-    for (i, v) in rows.iter_mut().enumerate() {
-        let (ix, iy) = (i % NX, row0 + i / NX);
-        *v = (ix as f64).mul_add(1.25, iy as f64 * -0.5);
-    }
-}
-
 #[test]
 fn panicking_worker_surfaces_as_typed_error_naming_the_band() {
     let mut data = vec![0.0f64; NX * NY];
-    let err = try_par_row_chunks_mut(&mut data, NX, 3, |row0, _rows| {
-        if row0 >= NY / 2 {
-            panic!("injected fault in band starting at row {row0}");
-        }
-    })
+    let err = try_par_rows(
+        &mut data,
+        NX,
+        3,
+        &Recorder::disabled(),
+        &Budget::unlimited(),
+        &ChaosInjector::disabled(),
+        // Bands cover rows 0..4, 4..8 and 8..12; the upper two panic.
+        |row0, _rows| {
+            if row0 >= NY / 3 {
+                panic!("injected fault in band starting at row {row0}");
+            }
+        },
+    )
     .expect_err("a panicking worker must produce an error");
 
     assert_eq!(err.kind(), ErrorKind::WorkerPanicked, "{err}");
     match &err {
-        RrsError::WorkerPanicked { payload, .. } => {
+        RrsError::WorkerPanicked { band, payload } => {
+            assert_eq!(*band, 1, "the lowest failed band is reported");
             assert!(payload.contains("injected fault"), "payload: {payload}");
         }
         other => panic!("unexpected variant: {other}"),
     }
     let msg = err.to_string();
     assert!(msg.contains("band"), "message must name the band: {msg}");
-}
-
-#[test]
-fn serial_fallback_after_transient_panic_is_bit_exact() {
-    // Parallel reference with no faults.
-    let mut want = vec![0.0f64; NX * NY];
-    try_par_row_chunks_mut(&mut want, NX, 4, |row0, rows| fill(row0, rows)).unwrap();
-
-    // Same computation, but the first parallel attempt hits a transient
-    // panic in one band; the fallback reruns the identical partition
-    // serially and must produce the same bits.
-    let attempts = AtomicUsize::new(0);
-    let mut got = vec![0.0f64; NX * NY];
-    par_row_chunks_mut_with_fallback(&mut got, NX, 4, |row0, rows| {
-        if attempts.fetch_add(1, Ordering::SeqCst) == 1 {
-            panic!("transient fault");
-        }
-        fill(row0, rows);
-    })
-    .expect("fallback must recover from a transient panic");
-
-    assert_eq!(got, want, "serial fallback diverged from the parallel result");
 }

@@ -44,7 +44,6 @@ fn served_windows_are_bit_identical_to_direct_generation_across_backends() {
     for (i, backend) in [
         ConvBackend::Direct,
         ConvBackend::FftOverlapSave,
-        ConvBackend::FftComplexSerial,
         ConvBackend::Auto,
     ]
     .into_iter()
@@ -289,6 +288,40 @@ fn malformed_and_bit_flipped_frames_get_typed_errors_over_tcp() {
     assert_eq!(kind, FrameKind::GenerateErr);
     let err = rrs::serve::GenerateErr::decode(&payload).expect("decodable");
     assert_eq!(err.kind, ErrorKind::CorruptSnapshot);
+    server.shutdown();
+}
+
+#[test]
+fn retired_backend_number_gets_the_typed_unknown_backend_error() {
+    use rrs::serve::wire::{read_frame, write_frame, FrameKind};
+    use std::io::Write;
+
+    // Wire number 2 named the deleted complex-serial FFT engine. A peer
+    // still sending it must get the same typed rejection as any other
+    // unknown backend number, keyed to its request id.
+    let server = serve(ServeConfig::default()).expect("bind");
+    let req = GenerateRequest::new(42, 0, 7, spectrum(), Window::sized(16, 16));
+    let direct = req.with_backend(ConvBackend::Direct).encode();
+    let auto = req.with_backend(ConvBackend::Auto).encode();
+    let diff: Vec<usize> = (0..direct.len()).filter(|&i| direct[i] != auto[i]).collect();
+    assert_eq!(diff.len(), 1, "the backend is one byte on the wire");
+    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+    for number in [2u8, 9] {
+        let mut payload = direct.clone();
+        payload[diff[0]] = number;
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FrameKind::Generate, &payload).expect("encode");
+        raw.write_all(&buf).expect("write frame");
+        raw.flush().expect("flush");
+        let (kind, reply) = read_frame(&mut raw.try_clone().expect("clone"))
+            .expect("server reply")
+            .expect("typed reply");
+        assert_eq!(kind, FrameKind::GenerateErr, "backend {number}");
+        let err = rrs::serve::GenerateErr::decode(&reply).expect("decodable");
+        assert_eq!(err.request_id, 42);
+        assert_eq!(err.kind, ErrorKind::CorruptSnapshot, "backend {number}");
+        assert!(err.message.contains(&format!("unknown backend {number}")), "{}", err.message);
+    }
     server.shutdown();
 }
 
