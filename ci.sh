@@ -89,6 +89,13 @@ echo "== convolution backend gate: FFT must beat direct where Auto says so =="
 # measurably slower than the alternative — see bench_convolution.
 cargo run --release --locked --offline -p rrs-bench --bin bench_convolution
 
+echo "== figure gate: the paper's blended workload must run >= 5x Direct under Auto =="
+# Exits 1 if Figure 4 at scale 1/3 (512², ten kernels up to 257², about
+# half the samples blended), generated as 64² windows, is not at least
+# 5x faster under ConvBackend::Auto than under ConvBackend::Direct
+# (ratio of interleaved medians) — see bench_figures.
+cargo run --release --locked --offline -p rrs-bench --bin bench_figures
+
 echo "== serving gate: pipelined load must hit the plan cache and reject overload typed =="
 # Exits 1 if p99 latency under N pipelined connections exceeds the
 # floor, if fft/plan_hit does not exceed fft/plan_miss across coalesced

@@ -39,6 +39,9 @@ pub struct RepresentativePoint {
 pub struct PointLayout {
     points: Vec<RepresentativePoint>,
     half_width: f64,
+    /// `seps[m·M + s]` is the separation `|n_m − n_s|` of points `m` and
+    /// `s`, the denominator of every τ (eqn 42) that pair produces.
+    seps: Vec<f64>,
 }
 
 impl PointLayout {
@@ -69,18 +72,20 @@ impl PointLayout {
                 format!("transition half-width must be positive, got {half_width}"),
             ));
         }
-        for i in 0..points.len() {
-            for j in i + 1..points.len() {
-                let d = (points[i].x - points[j].x).hypot(points[i].y - points[j].y);
-                if !(d > 0.0) {
+        let mut seps = Vec::with_capacity(points.len() * points.len());
+        for (i, pi) in points.iter().enumerate() {
+            for (j, pj) in points.iter().enumerate() {
+                let sep = (pi.x - pj.x).hypot(pi.y - pj.y);
+                if i < j && !(sep > 0.0) {
                     return Err(RrsError::invalid_param(
                         "points",
                         format!("representative points {i} and {j} coincide"),
                     ));
                 }
+                seps.push(sep);
             }
         }
-        Ok(Self { points, half_width })
+        Ok(Self { points, half_width, seps })
     }
 
     /// The representative points, in kernel-index order.
@@ -96,30 +101,45 @@ impl PointLayout {
     /// Index of the nearest representative point to `(x, y)` (eqn 41's
     /// `m*`). Ties resolve to the lowest index, deterministically.
     pub fn nearest(&self, x: f64, y: f64) -> usize {
+        self.nearest_with_distance(x, y).0
+    }
+
+    /// [`PointLayout::nearest`] with its squared distance to `(x, y)`.
+    fn nearest_with_distance(&self, x: f64, y: f64) -> (usize, f64) {
         let mut best = 0usize;
         let mut best_d = f64::INFINITY;
         for (i, p) in self.points.iter().enumerate() {
-            let d = (p.x - x) * (p.x - x) + (p.y - y) * (p.y - y);
+            let d = sq_dist(p, x, y);
             if d < best_d {
                 best_d = d;
                 best = i;
             }
         }
-        best
+        (best, best_d)
     }
 
     /// The bisector distance `τ(n, n_m, n_m*)` of eqn (42): how far `n`
     /// is from the perpendicular bisector of `[n_m, n_m*]`, measured
     /// towards `n_m`. Non-negative whenever `m*` is the nearest point.
     pub fn tau(&self, x: f64, y: f64, m: usize, m_star: usize) -> f64 {
-        let pm = &self.points[m];
-        let ps = &self.points[m_star];
-        let sep = (pm.x - ps.x).hypot(pm.y - ps.y);
+        let d_s = sq_dist(&self.points[m_star], x, y);
+        self.tau_from(sq_dist(&self.points[m], x, y), d_s, m, m_star)
+    }
+
+    /// τ from the squared distances `d_m`, `d_s` of `n` to `n_m` and
+    /// `n_m*`, over the pair's precomputed separation.
+    #[inline]
+    fn tau_from(&self, d_m: f64, d_s: f64, m: usize, m_star: usize) -> f64 {
+        let sep = self.seps[m * self.points.len() + m_star];
         debug_assert!(sep > 0.0);
-        let d_m = (pm.x - x) * (pm.x - x) + (pm.y - y) * (pm.y - y);
-        let d_s = (ps.x - x) * (ps.x - x) + (ps.y - y) * (ps.y - y);
         (d_m - d_s) / (2.0 * sep)
     }
+}
+
+/// Squared distance from point `p` to `(x, y)`.
+#[inline]
+fn sq_dist(p: &RepresentativePoint, x: f64, y: f64) -> f64 {
+    (p.x - x) * (p.x - x) + (p.y - y) * (p.y - y)
 }
 
 impl WeightMap for PointLayout {
@@ -133,38 +153,34 @@ impl WeightMap for PointLayout {
 
     fn weights_at(&self, x: f64, y: f64, out: &mut Vec<(usize, f64)>) {
         out.clear();
-        let m_star = self.nearest(x, y);
+        let (m_star, d_s) = self.nearest_with_distance(x, y);
         let t = self.half_width;
-        // Collect participating neighbours (eqn 43).
-        let mut others = 0usize;
-        for m in 0..self.points.len() {
-            if m == m_star {
-                continue;
-            }
-            if self.tau(x, y, m, m_star) <= t {
-                others += 1;
+        // Participating neighbours (eqn 43), each with its τ, which the
+        // weights below read back instead of re-evaluating.
+        for (m, p) in self.points.iter().enumerate() {
+            if m != m_star {
+                let tau = self.tau_from(sq_dist(p, x, y), d_s, m, m_star);
+                if tau <= t {
+                    out.push((m, tau));
+                }
             }
         }
-        if others == 0 {
+        if out.is_empty() {
             out.push((m_star, 1.0));
             return;
         }
         // Eqn 44 (reconstructed): g̃(m) = (1 − τ/T) / (2·M̃);
         // eqn 45: the nearest point absorbs the remainder.
+        let others = out.len();
         let mut remainder = 1.0;
-        for m in 0..self.points.len() {
-            if m == m_star {
-                continue;
+        out.retain_mut(|(_, w)| {
+            let g = (1.0 - *w / t).max(0.0) / (2.0 * others as f64);
+            *w = g;
+            if g > 0.0 {
+                remainder -= g;
             }
-            let tau = self.tau(x, y, m, m_star);
-            if tau <= t {
-                let g = (1.0 - tau / t).max(0.0) / (2.0 * others as f64);
-                if g > 0.0 {
-                    out.push((m, g));
-                    remainder -= g;
-                }
-            }
-        }
+            g > 0.0
+        });
         out.push((m_star, remainder));
     }
 }
@@ -241,6 +257,79 @@ mod tests {
             assert!((w1 - expect).abs() < 1e-9, "x={x}: {w1} vs {expect}");
             let total: f64 = w.iter().map(|&(_, v)| v).sum();
             assert!((total - 1.0).abs() < 1e-12);
+        }
+    }
+
+    /// The weights as eqns 43–45 were first evaluated here: `τ` twice
+    /// per neighbour, each time from the pair's own `hypot`.
+    fn reference_weights(l: &PointLayout, x: f64, y: f64) -> Vec<(usize, f64)> {
+        let tau = |m: usize, s: usize| {
+            let (pm, ps) = (&l.points[m], &l.points[s]);
+            let sep = (pm.x - ps.x).hypot(pm.y - ps.y);
+            let d_m = (pm.x - x) * (pm.x - x) + (pm.y - y) * (pm.y - y);
+            let d_s = (ps.x - x) * (ps.x - x) + (ps.y - y) * (ps.y - y);
+            (d_m - d_s) / (2.0 * sep)
+        };
+        let (m_star, t, n) = (l.nearest(x, y), l.half_width, l.points.len());
+        let others = (0..n).filter(|&m| m != m_star && tau(m, m_star) <= t).count();
+        if others == 0 {
+            return vec![(m_star, 1.0)];
+        }
+        let mut out = Vec::new();
+        let mut remainder = 1.0;
+        for m in (0..n).filter(|&m| m != m_star) {
+            let tau = tau(m, m_star);
+            if tau <= t {
+                let g = (1.0 - tau / t).max(0.0) / (2.0 * others as f64);
+                if g > 0.0 {
+                    out.push((m, g));
+                    remainder -= g;
+                }
+            }
+        }
+        out.push((m_star, remainder));
+        out
+    }
+
+    #[test]
+    fn weights_match_the_reference_formula_bit_for_bit() {
+        // Figure 4's ring at scale 1/3, plus a two-point layout; sampled
+        // on a seeded grid and on every pair's bisector, where τ = 0 and
+        // ties between nearest points are decided.
+        let ring = 500.0 / 3.0;
+        let mut pts: Vec<RepresentativePoint> = (1..=9)
+            .map(|i| {
+                let th = core::f64::consts::TAU * i as f64 / 9.0;
+                RepresentativePoint { x: ring * th.cos(), y: ring * th.sin(), spectrum: sm(1.0, 5.0) }
+            })
+            .collect();
+        pts.push(RepresentativePoint { x: 0.0, y: 0.0, spectrum: sm(0.5, 10.0) });
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut uniform = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for layout in [PointLayout::new(pts, 100.0 / 3.0), two_points(10.0)] {
+            let mut probes: Vec<(f64, f64)> = (0..4000)
+                .map(|_| ((uniform() - 0.5) * 600.0, (uniform() - 0.5) * 600.0))
+                .collect();
+            probes.extend((-300..300).step_by(7).flat_map(|y| (-300..300).step_by(7).map(move |x| (x as f64, y as f64))));
+            for (i, a) in layout.points.iter().enumerate() {
+                for b in &layout.points[i + 1..] {
+                    let (mx, my) = ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0);
+                    for k in -20..=20 {
+                        let s = k as f64 * 3.0;
+                        probes.push((mx - s * (b.y - a.y) / 100.0, my + s * (b.x - a.x) / 100.0));
+                    }
+                }
+            }
+            let mut w = Vec::new();
+            for (x, y) in probes {
+                layout.weights_at(x, y, &mut w);
+                let want = reference_weights(&layout, x, y);
+                let bits = |v: &[(usize, f64)]| v.iter().map(|&(k, g)| (k, g.to_bits())).collect::<Vec<_>>();
+                assert_eq!(bits(&w), bits(&want), "weights at ({x}, {y})");
+            }
         }
     }
 

@@ -19,10 +19,11 @@
 //! disabled recorder records nothing and costs nothing, and enabling it
 //! never changes a single output bit.
 
+use crate::blend::Reach;
 use crate::context::GenContext;
 use crate::fftconv::FftEngine;
 use crate::kernel::{ConvolutionKernel, KernelSizing};
-use crate::ladder::{run_ladder, BackendHealth};
+use crate::ladder::{run_ladder, BackendHealth, FftFields};
 use crate::noise::NoiseField;
 use rrs_chaos::ChaosInjector;
 use rrs_error::{Budget, RrsError};
@@ -281,14 +282,9 @@ impl ConvolutionGenerator {
     /// field is materialised.
     pub fn try_generate(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
         self.ctx.budget.check()?;
-        let (kw, kh) = self.kernel.extent();
-        let (ox, oy) = self.kernel.origin();
         // f(n) = Σ_j w̃(j)·X(n−j); offsets j span [ox, ox+kw) × [oy, oy+kh),
         // so the noise window spans [x0−(ox+kw−1), x0+nx−1−ox].
-        let wx0 = win.x0 - (ox + kw as i64 - 1);
-        let wy0 = win.y0 - (oy + kh as i64 - 1);
-        let ww = win.nx + kw - 1;
-        let wh = win.ny + kh - 1;
+        let (wx0, wy0, ww, wh) = Reach::of([&self.kernel]).window(win);
         // Reuse the generator's scratch window when uncontended; a second
         // concurrent request simply materialises into its own buffer.
         let mut local = Vec::new();
@@ -335,7 +331,7 @@ impl ConvolutionGenerator {
         run_ladder(
             &self.ctx,
             &self.health,
-            Some((&self.fft, 0, &self.kernel)),
+            Some(FftFields { engine: &self.fft, kernels: &[(0, &self.kernel)], weights: None }),
             nx,
             ny,
             prepare,

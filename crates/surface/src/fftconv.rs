@@ -19,6 +19,20 @@
 //! output regions, so the result is bit-identical for every worker
 //! count.
 //!
+//! [`FftEngine::convolve_fields`] is the degradation ladder's FFT rung.
+//! It evaluates `Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over the kernels of a request,
+//! reading each kernel's window in place from the one noise window that
+//! covers them all, and blends the fields per sample through a
+//! [`WeightTable`]. A kernel whose single-block plan would need a lattice
+//! side more than 4× `next_pow2` of the window side takes the
+//! **partitioned** path ([`Blocks`]) instead: the kernel is split into
+//! blocks of `L − n + 1` on the window lattice `L = 2·next_pow2(n)`, the
+//! block products are summed in the frequency domain before one inverse
+//! transform, and block spectra are recomputed per call rather than
+//! cached, so a huge kernel never pins a huge cached spectrum. The
+//! homogeneous generators pass one kernel at weight 1 and keep the
+//! single-block plan.
+//!
 //! # Tile correctness
 //!
 //! With the kernel zero-padded at the tile origin, the circular
@@ -42,6 +56,7 @@
 //! index range evenly; a request whose plan yields a single tile runs
 //! serially regardless of the configured worker count.
 
+use crate::blend::{Reach, WeightTable};
 use crate::kernel::ConvolutionKernel;
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
@@ -139,18 +154,119 @@ pub(crate) fn effective_workers(shape: TileShape, nx: usize, ny: usize, kw: usiz
     workers.max(1).min(tx * ty)
 }
 
+/// Whether a kernel's field over a window is split into kernel blocks,
+/// and how: when [`plan_tiles`] would pick a lattice side more than 4×
+/// `next_pow2` of the window side, the field is computed on the window
+/// lattice `L = 2·next_pow2(n)` per axis from kernel blocks of
+/// `L − n + 1` per axis — the widest block whose `n` outputs never wrap
+/// on that lattice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Blocks {
+    lx: usize,
+    ly: usize,
+    bx: usize,
+    by: usize,
+    nbx: usize,
+    nby: usize,
+}
+
+impl Blocks {
+    /// The split of a `kw × kh` kernel over an `nx × ny` window, or
+    /// `None` when the cached single-block engine keeps the field.
+    fn of(nx: usize, ny: usize, kw: usize, kh: usize) -> Option<Self> {
+        let shape = plan_tiles(nx, ny, kw, kh);
+        let (px, py) = (nx.next_power_of_two(), ny.next_power_of_two());
+        if shape.fft_nx <= 4 * px && shape.fft_ny <= 4 * py {
+            return None;
+        }
+        let (lx, ly) = (2 * px, 2 * py);
+        let (bx, by) = (lx - nx + 1, ly - ny + 1);
+        Some(Self { lx, ly, bx, by, nbx: kw.div_ceil(bx), nby: kh.div_ceil(by) })
+    }
+
+    /// Kernel blocks, hence block products and budget polls, per field.
+    fn count(&self) -> usize {
+        self.nbx * self.nby
+    }
+
+    /// Workspace in f64-equivalents: one real lattice, the segment,
+    /// block and summed spectra, and the transform's column scratch.
+    /// Nothing outlives the call.
+    fn scratch_samples(&self) -> u128 {
+        let packed = 2 * ((self.lx / 2 + 1) * self.ly) as u128;
+        let scratch = 2 * (self.lx / 2).max(self.ly).max(1) as u128;
+        (self.lx * self.ly) as u128 + 3 * packed + scratch
+    }
+}
+
+/// The FFT rung's workspace beyond the noise window and the output, in
+/// f64-equivalents: the largest per-kernel engine scratch, plus the one
+/// field buffer a blended request accumulates through. Deterministic in
+/// its arguments, so admission control and the engine agree.
+pub(crate) fn fields_scratch(
+    kernels: &[(usize, &ConvolutionKernel)],
+    blended: bool,
+    nx: usize,
+    ny: usize,
+    workers: usize,
+) -> u128 {
+    let engine = kernels
+        .iter()
+        .map(|&(_, kernel)| {
+            let (kw, kh) = kernel.extent();
+            match Blocks::of(nx, ny, kw, kh).filter(|_| blended) {
+                Some(blocks) => blocks.scratch_samples(),
+                None => {
+                    let shape = plan_tiles(nx, ny, kw, kh);
+                    shape.scratch_samples_real(effective_workers(shape, nx, ny, kw, kh, workers))
+                }
+            }
+        })
+        .max()
+        .unwrap_or(0);
+    engine + if blended { nx as u128 * ny as u128 } else { 0 }
+}
+
+/// A `w × h` region of a row-major noise window with row stride
+/// `stride`, starting at column `x0` and row `y0`: one kernel's window,
+/// read in place from the window that covers every kernel of a request.
+#[derive(Clone, Copy)]
+struct WinView<'a> {
+    data: &'a [f64],
+    stride: usize,
+    x0: usize,
+    y0: usize,
+    w: usize,
+    h: usize,
+}
+
+impl WinView<'_> {
+    /// Loads the `fx × fy` segment at `(ox, oy)` into `real`, zero-padded
+    /// past the view's right and top edges.
+    fn gather(&self, ox: usize, oy: usize, fx: usize, real: &mut [f64]) {
+        let cols = (self.w - ox).min(fx);
+        for (ty, trow) in real.chunks_exact_mut(fx).enumerate() {
+            let wy = oy + ty;
+            if wy < self.h {
+                let at = (self.y0 + wy) * self.stride + self.x0 + ox;
+                trow[..cols].copy_from_slice(&self.data[at..at + cols]);
+                trow[cols..].fill(0.0);
+            } else {
+                trow.fill(0.0);
+            }
+        }
+    }
+}
+
 /// The geometry one convolution request tiles over, bundled so the tile
 /// loop's helpers stay readable.
 #[derive(Clone, Copy)]
 struct TileGeom {
     nx: usize,
     ny: usize,
-    ww: usize,
-    wh: usize,
     kw: usize,
     kh: usize,
     fx: usize,
-    fy: usize,
     vx: usize,
     vy: usize,
     tiles_x: usize,
@@ -250,25 +366,24 @@ impl FftEngine {
         lock_spectra(&self.kernel_rffts, obs).entry(key).or_insert(arc).clone()
     }
 
-    /// Convolves a materialised `ww × wh` noise window with `kernel`,
-    /// producing the `nx × ny` output — the exact sum the direct loop
-    /// computes (`out[ix,iy] = Σ w̃[a,b]·win[ix+kw−1−a, iy+kh−1−b]`) —
-    /// through the **real-input** overlap-save pipeline, with tiles
-    /// dispatched across up to `workers` threads. The attached budget is
-    /// polled once per tile (ticking [`stage::BUDGET_POLLS`]), so
-    /// deadlines and cancellation take effect at tile granularity on
-    /// every worker; a panicking worker is contained and reported as
-    /// [`RrsError::WorkerPanicked`]. Output is bit-identical for every
-    /// worker count: tiles own disjoint output regions and per-tile
-    /// arithmetic never depends on the partition.
+    /// The ladder's FFT rung: `out(n) = Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over
+    /// `kernels` (`(cache id, kernel)` pairs), read from `win`, the
+    /// row-major noise window of their union [`Reach`] around the
+    /// `nx × ny` output. Each kernel's own window is read in place.
+    ///
+    /// With `weights = None` the one kernel is the output at weight 1 on
+    /// the tile plan of [`FftEngine::convolve_rfft`] — the homogeneous
+    /// generator's path. With a [`WeightTable`] each kernel's field is
+    /// computed into one reused buffer, by the cached single-block engine
+    /// or, when [`Blocks::of`] finds the kernel dwarfs the window, by
+    /// [`FftEngine::convolve_partitioned`], and added to the output with
+    /// its weights.
     #[allow(clippy::too_many_arguments)]
-    pub fn convolve_rfft(
+    pub(crate) fn convolve_fields(
         &self,
-        kernel_id: usize,
-        kernel: &ConvolutionKernel,
+        kernels: &[(usize, &ConvolutionKernel)],
+        weights: Option<&WeightTable>,
         win: &[f64],
-        ww: usize,
-        wh: usize,
         nx: usize,
         ny: usize,
         workers: usize,
@@ -276,27 +391,101 @@ impl FftEngine {
         budget: &Budget,
         chaos: &ChaosInjector,
     ) -> Result<Grid2<f64>, RrsError> {
+        let reach = Reach::of(kernels.iter().map(|&(_, k)| k));
+        let ww = nx + (reach.left + reach.right) as usize;
+        debug_assert_eq!(win.len(), ww * (ny + (reach.down + reach.up) as usize));
+        let view = |kernel: &ConvolutionKernel| {
+            let (x0, y0) = reach.offset_of(kernel);
+            let (kw, kh) = kernel.extent();
+            WinView { data: win, stride: ww, x0, y0, w: nx + kw - 1, h: ny + kh - 1 }
+        };
+        let mut out = Grid2::zeros(nx, ny);
+        let Some(table) = weights else {
+            let &[(id, kernel)] = kernels else {
+                unreachable!("an unweighted request carries exactly one kernel")
+            };
+            let out_slice = out.as_mut_slice();
+            let view = view(kernel);
+            self.convolve_rfft(id, kernel, view, nx, ny, out_slice, workers, obs, budget, chaos)?;
+            return Ok(out);
+        };
+        let mut field = vec![0.0; nx * ny];
+        for &(id, kernel) in kernels {
+            let (kw, kh) = kernel.extent();
+            match Blocks::of(nx, ny, kw, kh) {
+                Some(blocks) => self.convolve_partitioned(
+                    kernel,
+                    blocks,
+                    view(kernel),
+                    &mut field,
+                    workers,
+                    obs,
+                    budget,
+                    chaos,
+                )?,
+                None => self.convolve_rfft(
+                    id,
+                    kernel,
+                    view(kernel),
+                    nx,
+                    ny,
+                    &mut field,
+                    workers,
+                    obs,
+                    budget,
+                    chaos,
+                )?,
+            }
+            table.accumulate(id, &field, out.as_mut_slice());
+        }
+        Ok(out)
+    }
+
+    /// Convolves a kernel's `(nx+kw−1) × (ny+kh−1)` noise window with
+    /// `kernel`, writing the `nx × ny` field to `out` — the exact sum the
+    /// direct loop computes
+    /// (`out[ix,iy] = Σ w̃[a,b]·win[ix+kw−1−a, iy+kh−1−b]`) — through the
+    /// **real-input** overlap-save pipeline, with tiles dispatched across
+    /// up to `workers` threads. The attached budget is polled once per
+    /// tile (ticking [`stage::BUDGET_POLLS`]), so deadlines and
+    /// cancellation take effect at tile granularity on every worker; a
+    /// panicking worker is contained and reported as
+    /// [`RrsError::WorkerPanicked`]. Output is bit-identical for every
+    /// worker count: tiles own disjoint output regions and per-tile
+    /// arithmetic never depends on the partition.
+    #[allow(clippy::too_many_arguments)]
+    fn convolve_rfft(
+        &self,
+        kernel_id: usize,
+        kernel: &ConvolutionKernel,
+        win: WinView<'_>,
+        nx: usize,
+        ny: usize,
+        out: &mut [f64],
+        workers: usize,
+        obs: &Recorder,
+        budget: &Budget,
+        chaos: &ChaosInjector,
+    ) -> Result<(), RrsError> {
         let (kw, kh) = kernel.extent();
-        debug_assert_eq!(win.len(), ww * wh);
-        debug_assert_eq!(ww, nx + kw - 1);
-        debug_assert_eq!(wh, ny + kh - 1);
+        debug_assert_eq!(out.len(), nx * ny);
+        debug_assert_eq!((win.w, win.h), (nx + kw - 1, ny + kh - 1));
         let tile_shape = plan_tiles(nx, ny, kw, kh);
         let (tiles_x, tiles_y) = tile_shape.tiles(nx, ny, kw, kh);
         let total = tiles_x * tiles_y;
         let workers = effective_workers(tile_shape, nx, ny, kw, kh, workers);
-        let (fx, fy) = (tile_shape.fft_nx, tile_shape.fft_ny);
+        let fx = tile_shape.fft_nx;
         let (vx, vy) = tile_shape.valid(kw, kh);
-        let geom = TileGeom { nx, ny, ww, wh, kw, kh, fx, fy, vx, vy, tiles_x };
+        let geom = TileGeom { nx, ny, kw, kh, fx, vx, vy, tiles_x };
         // Per-worker transforms are serial (workers = 1): parallelism
         // lives at the tile level, and the serial plan is shared by every
         // arena (plans are immutable).
         chaos.poll(FaultSite::PlanCacheLookup)?;
-        let rfft = self.plans.plan_real_observed(fx, fy, 1, obs);
+        let rfft = self.plans.plan_real_observed(fx, tile_shape.fft_ny, 1, obs);
         let kspec = self.kernel_spectrum_real(kernel_id, kernel, tile_shape, obs);
         let polling = budget.needs_polling();
 
-        let mut out = Grid2::zeros(nx, ny);
-        let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
+        let out_ptr = SendPtr(out.as_mut_ptr());
         let span = obs.start(stage::CORRELATE);
         if workers == 1 {
             let mut arena = TileArena::new(&rfft);
@@ -366,7 +555,117 @@ impl FftEngine {
         obs.finish(span);
         obs.add_counter(stage::CONV_FFT_TILES, total as u64);
         obs.add_counter(stage::CORRELATE_SAMPLES, (nx * ny) as u64);
-        Ok(out)
+        Ok(())
+    }
+
+    /// The field of a kernel that dwarfs its window, on the window
+    /// lattice of `blocks`. Block `(jx, jy)` holds kernel columns
+    /// `[kw − (jx+1)·bx, kw − jx·bx)` (rows likewise), placed so that the
+    /// noise segment it reads starts at `(jx·bx, jy·by)` of the kernel's
+    /// window; its spectrum times the segment's is summed over all blocks
+    /// before one inverse transform, and output `(ix, iy)` is lattice
+    /// sample `(bx−1+ix, by−1+iy)`. Block spectra are recomputed on every
+    /// call and never cached, which is what bounds memory.
+    ///
+    /// Up to `workers` block products run at once, one per worker arena,
+    /// and are summed in block order, so the field is bit-identical for
+    /// every worker count. The budget and [`FaultSite::FftTile`] are
+    /// polled once per block product, and each block counts as one
+    /// [`stage::CONV_FFT_TILES`].
+    #[allow(clippy::too_many_arguments)]
+    fn convolve_partitioned(
+        &self,
+        kernel: &ConvolutionKernel,
+        blocks: Blocks,
+        win: WinView<'_>,
+        out: &mut [f64],
+        workers: usize,
+        obs: &Recorder,
+        budget: &Budget,
+        chaos: &ChaosInjector,
+    ) -> Result<(), RrsError> {
+        let Blocks { lx, ly, bx, by, nbx, .. } = blocks;
+        let (kw, kh) = kernel.extent();
+        let nx = win.w + 1 - kw;
+        let weights = kernel.weights();
+        chaos.poll(FaultSite::PlanCacheLookup)?;
+        let rfft = self.plans.plan_real_observed(lx, ly, 1, obs);
+        let polling = budget.needs_polling();
+        // Block `j`'s product lands in `arena.spec`.
+        let product = |j: usize, arena: &mut TileArena, block: &mut [Complex64]| {
+            if polling {
+                obs.add_counter(stage::BUDGET_POLLS, 1);
+                budget.check()?;
+            }
+            chaos.poll(FaultSite::FftTile)?;
+            let (jx, jy) = (j % nbx, j / nbx);
+            // Kernel sample (a, b) of this block sits at lattice
+            // (a + (jx+1)·bx − kw, b + (jy+1)·by − kh).
+            let (a_lo, a_hi) = ((kw - jx * bx).saturating_sub(bx), kw - jx * bx);
+            let (b_lo, b_hi) = ((kh - jy * by).saturating_sub(by), kh - jy * by);
+            let col = a_lo + (jx + 1) * bx - kw;
+            arena.real.fill(0.0);
+            for b in b_lo..b_hi {
+                let at = (b + (jy + 1) * by - kh) * lx + col;
+                arena.real[at..at + a_hi - a_lo].copy_from_slice(&weights.row(b)[a_lo..a_hi]);
+            }
+            rfft.forward_into(&arena.real, block, &mut arena.scratch);
+            win.gather(jx * bx, jy * by, lx, &mut arena.real);
+            rfft.forward_into(&arena.real, &mut arena.spec, &mut arena.scratch);
+            for (z, k) in arena.spec.iter_mut().zip(block.iter()) {
+                *z = *z * *k;
+            }
+            Ok(())
+        };
+        let count = blocks.count();
+        let workers = workers.clamp(1, count);
+        let mut arenas: Vec<(TileArena, Vec<Complex64>)> = (0..workers)
+            .map(|_| (TileArena::new(&rfft), vec![Complex64::ZERO; rfft.packed_len()]))
+            .collect();
+        let mut sum = vec![Complex64::ZERO; rfft.packed_len()];
+        let span = obs.start(stage::CORRELATE);
+        for round in (0..count).step_by(workers) {
+            let live = workers.min(count - round);
+            let (first, rest) = arenas[..live].split_first_mut().expect("at least one arena");
+            let product = &product;
+            let results: Vec<Result<(), RrsError>> = rrs_par::scope(|s| {
+                let handles: Vec<_> = rest
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(w, (arena, block))| {
+                        let j = round + 1 + w;
+                        s.spawn(move || {
+                            catch_unwind(AssertUnwindSafe(|| product(j, arena, block)))
+                                .unwrap_or_else(|p| Err(RrsError::worker_panicked(j, p.as_ref())))
+                        })
+                    })
+                    .collect();
+                let mut results = vec![catch_unwind(AssertUnwindSafe(|| {
+                    product(round, &mut first.0, &mut first.1)
+                }))
+                .unwrap_or_else(|p| Err(RrsError::worker_panicked(round, p.as_ref())))];
+                results.extend(
+                    handles.into_iter().map(|h| h.join().expect("worker result survives catch_unwind")),
+                );
+                results
+            });
+            // The lowest failed block wins; a failed field records no timing.
+            results.into_iter().collect::<Result<Vec<()>, RrsError>>()?;
+            for (arena, _) in &arenas[..live] {
+                for (s, p) in sum.iter_mut().zip(&arena.spec) {
+                    *s += *p;
+                }
+            }
+        }
+        let (arena, _) = &mut arenas[0];
+        rfft.inverse_into(&mut sum, &mut arena.real, &mut arena.scratch);
+        for (dy, row) in out.chunks_exact_mut(nx).enumerate() {
+            row.copy_from_slice(&arena.real[(by - 1 + dy) * lx + bx - 1..][..nx]);
+        }
+        obs.finish(span);
+        obs.add_counter(stage::CONV_FFT_TILES, count as u64);
+        obs.add_counter(stage::CORRELATE_SAMPLES, out.len() as u64);
+        Ok(())
     }
 }
 
@@ -378,7 +677,7 @@ fn run_tile_range(
     t0: usize,
     t1: usize,
     g: TileGeom,
-    win: &[f64],
+    win: WinView<'_>,
     rfft: &RealFft2d,
     kspec: &[Complex64],
     out: SendPtr,
@@ -398,17 +697,7 @@ fn run_tile_range(
         let oy = (t / g.tiles_x) * g.vy;
         // Gather the segment [ox, ox+fx) × [oy, oy+fy) of the window,
         // zero-padded past its edges.
-        let cols = (g.ww - ox).min(g.fx);
-        for ty in 0..g.fy {
-            let trow = &mut arena.real[ty * g.fx..(ty + 1) * g.fx];
-            let wy = oy + ty;
-            if wy < g.wh {
-                trow[..cols].copy_from_slice(&win[wy * g.ww + ox..wy * g.ww + ox + cols]);
-                trow[cols..].fill(0.0);
-            } else {
-                trow.fill(0.0);
-            }
-        }
+        win.gather(ox, oy, g.fx, &mut arena.real);
         rfft.forward_into(&arena.real, &mut arena.spec, &mut arena.scratch);
         for (z, k) in arena.spec.iter_mut().zip(kspec) {
             *z = *z * *k;

@@ -5,14 +5,19 @@
 //! `catch_unwind` around each rung, the rule for which failures degrade,
 //! the `conv/backend_*`, `conv/degraded_to_direct` and
 //! `conv/breaker_skips` counters, and the FFT rung's workspace estimate
-//! that admission control charges. Callers bring only what differs
-//! between them: how a request is admitted and its noise window
-//! materialised, and their own Direct rung — the homogeneous generator's
-//! vectorised correlate, the inhomogeneous generator's per-sample loop.
+//! that admission control charges. The FFT rung evaluates
+//! `Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over the kernels a request names
+//! ([`FftFields`]): the homogeneous generator's one kernel at weight 1,
+//! or every kernel active in an inhomogeneous window with its
+//! [`WeightTable`]. Callers bring only what differs between them: how a
+//! request is admitted and its noise window materialised, and their own
+//! Direct rung — the homogeneous generator's vectorised correlate, the
+//! inhomogeneous generator's per-sample loop.
 
+use crate::blend::WeightTable;
 use crate::context::GenContext;
 use crate::conv::ConvBackend;
-use crate::fftconv::{effective_workers, plan_tiles, FftEngine};
+use crate::fftconv::{fields_scratch, FftEngine};
 use crate::kernel::ConvolutionKernel;
 use rrs_error::{ErrorKind, RrsError};
 use rrs_grid::Grid2;
@@ -94,16 +99,33 @@ fn is_degradable(e: &RrsError) -> bool {
     matches!(e.kind(), ErrorKind::WorkerPanicked | ErrorKind::FaultInjected)
 }
 
+/// What the FFT rung computes for one request:
+/// `out(n) = Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over `kernels`.
+#[derive(Clone, Copy)]
+pub struct FftFields<'a> {
+    /// The overlap-save engine, whose spectrum cache the kernel ids key.
+    pub engine: &'a FftEngine,
+    /// `(id, kernel)` for every kernel with a weight in the window, ids
+    /// ascending; the id keys the engine's cached spectra and names the
+    /// kernel in `weights`.
+    pub kernels: &'a [(usize, &'a ConvolutionKernel)],
+    /// Per-sample weights, or `None` for a single kernel at weight 1
+    /// everywhere, tiled exactly as the homogeneous generator tiles it.
+    pub weights: Option<&'a WeightTable>,
+}
+
 /// Runs one `nx × ny` request down the ladder `FftOverlapSave → Direct`
 /// and returns the output with the rung that served it.
 ///
-/// `fft` names the engine, the kernel and its cache id when the request
-/// may take the FFT rung at all; the rung runs when the context's backend
-/// resolves to [`ConvBackend::FftOverlapSave`] for that kernel and
+/// `fft` names the fields when the request may take the FFT rung at all;
+/// the rung runs when the context's backend resolves to
+/// [`ConvBackend::FftOverlapSave`] for every one of its kernels and
 /// `health` does not hold it open. `prepare` then admits and materialises
 /// the request: it receives the FFT rung's workspace in f64 samples
 /// (`None` when the FFT rung will not run) and returns the noise window
-/// the FFT rung reads — `(nx+kw−1) × (ny+kh−1)` samples, the same window
+/// the FFT rung reads — the window of the kernels' union
+/// [`Reach`](crate::internal::Reach) around the output, which for one
+/// kernel is the `(nx+kw−1) × (ny+kh−1)` window
 /// [`ConvolutionGenerator`](crate::ConvolutionGenerator) correlates.
 /// Errors from `prepare` surface unchanged.
 ///
@@ -118,40 +140,36 @@ fn is_degradable(e: &RrsError) -> bool {
 pub fn run_ladder<'w>(
     ctx: &GenContext,
     health: &BackendHealth,
-    fft: Option<(&FftEngine, usize, &ConvolutionKernel)>,
+    fft: Option<FftFields<'_>>,
     nx: usize,
     ny: usize,
     prepare: impl FnOnce(Option<u128>) -> Result<&'w [f64], RrsError>,
     direct: impl FnOnce(&[f64]) -> Result<Grid2<f64>, RrsError>,
 ) -> Result<(Grid2<f64>, ConvBackend), RrsError> {
     let obs = ctx.recorder();
-    let fft = fft.filter(|(_, _, kernel)| {
-        let (kw, kh) = kernel.extent();
-        ctx.backend().resolve(kw, kh) == ConvBackend::FftOverlapSave
+    let fft = fft.filter(|f| {
+        f.kernels.iter().all(|(_, kernel)| {
+            let (kw, kh) = kernel.extent();
+            ctx.backend().resolve(kw, kh) == ConvBackend::FftOverlapSave
+        })
     });
     let skipped = fft.is_some() && !health.should_try();
     if skipped {
         obs.add_counter(stage::CONV_BREAKER_SKIPS, 1);
     }
     let fft = fft.filter(|_| !skipped);
-    let scratch = fft.map(|(_, _, kernel)| {
-        let (kw, kh) = kernel.extent();
-        let shape = plan_tiles(nx, ny, kw, kh);
-        shape.scratch_samples_real(effective_workers(shape, nx, ny, kw, kh, ctx.workers()))
-    });
+    let scratch =
+        fft.map(|f| fields_scratch(f.kernels, f.weights.is_some(), nx, ny, ctx.workers()));
     let win = prepare(scratch)?;
 
     let mut degraded = skipped;
-    if let Some((engine, kernel_id, kernel)) = fft {
+    if let Some(f) = fft {
         obs.add_counter(stage::CONV_BACKEND_FFT, 1);
-        let (kw, kh) = kernel.extent();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            engine.convolve_rfft(
-                kernel_id,
-                kernel,
+            f.engine.convolve_fields(
+                f.kernels,
+                f.weights,
                 win,
-                nx + kw - 1,
-                ny + kh - 1,
                 nx,
                 ny,
                 ctx.workers(),

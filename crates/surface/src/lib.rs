@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+mod blend;
 pub mod context;
 pub mod conv;
 pub mod direct;
@@ -38,12 +39,13 @@ pub use ladder::BackendHealth;
 
 #[doc(hidden)]
 pub mod internal {
-    //! Workspace-internal seam: the overlap-save engine and the
-    //! degradation ladder, shared with `rrs-inhomo` so pure-region windows
-    //! take the same FFT path, breaker and fallback policy as the
-    //! homogeneous generator. Not a stable public API.
+    //! Workspace-internal seam: the overlap-save engine, the degradation
+    //! ladder and the blended-window inputs, shared with `rrs-inhomo` so
+    //! its windows take the same FFT path, breaker and fallback policy as
+    //! the homogeneous generator. Not a stable public API.
+    pub use crate::blend::{Reach, WeightTable};
     pub use crate::fftconv::FftEngine;
-    pub use crate::ladder::run_ladder;
+    pub use crate::ladder::{run_ladder, FftFields};
 }
 pub use direct::DirectDftGenerator;
 pub use kernel::{ConvolutionKernel, KernelSizing};
