@@ -79,12 +79,13 @@ cargo run --release --locked --offline -p rrs-bench --bin bench_obs
 
 echo "== runtime budget overhead gate: the no-budget path must stay free =="
 # Exits 1 if rrs_par::try_par_rows with Budget::unlimited and a disabled
-# chaos injector costs >= 1.05x a plain scoped row-band loop (min-of-reps)
-# — see bench_runtime; the armed run is reported for information.
+# chaos injector costs >= 1.05x a plain scoped row-band loop (median of
+# paired reps) — see bench_runtime; the armed run is reported for
+# information.
 cargo run --release --locked --offline -p rrs-bench --bin bench_runtime
 
 echo "== convolution backend gate: FFT must beat direct where Auto says so =="
-# Exits 1 if the overlap-save FFT engine is not >= 3x the direct loop on
+# Exits 1 if the overlap-save FFT engine is not >= 6x the direct loop on
 # the cl32/128x128 shape, or if ConvBackend::Auto resolves to a backend
 # measurably slower than the alternative — see bench_convolution.
 cargo run --release --locked --offline -p rrs-bench --bin bench_convolution

@@ -49,9 +49,9 @@ pub enum FaultSite {
     /// Polled inside the slice's panic containment, so `Panic` plans are
     /// caught per band.
     ParBandSlice,
-    /// One overlap-save tile in the FFT convolution engine
-    /// (`FftEngine::convolve_rfft`). Contained by the degradation
-    /// ladder's `catch_unwind`.
+    /// One overlap-save tile, or one kernel-block product, in the FFT
+    /// convolution engine. Contained by the degradation ladder's
+    /// `catch_unwind`.
     FftTile,
     /// One strip emitted by `StripGenerator::try_strip_at`. Polled with
     /// [`ChaosInjector::poll_contained`].

@@ -10,25 +10,24 @@
 //! which by linearity equals convolving the blended kernel
 //! `Σ_i g_i(n)·w̃_i` of eqns (37)/(46) with the noise.
 //!
-//! Under [`ConvBackend::Direct`] (the default) a per-sample loop evaluates
-//! that sum directly: one homogeneous-kernel dot product per active kernel
-//! per sample. Under every other backend a request first runs one weight
-//! pass — `weights_at` once per sample into a [`WeightTable`] — and then
-//! takes the shared degradation ladder: its FFT rung computes one
-//! overlap-save field per kernel active in the window and accumulates
-//! `g_i(n)·field_i(n)`, and the same per-sample loop, reading the table,
-//! is its Direct rung.
+//! The generator is the map plus `rrs-surface`'s window engine over one
+//! kernel per map entry; the homogeneous generator is the same engine
+//! over one kernel at weight 1. Every request runs one weight pass —
+//! `weights_at` once per sample — and then the engine's degradation
+//! ladder: its FFT rung computes one overlap-save field per kernel active
+//! in the window and accumulates `g_i(n)·field_i(n)`, and its Direct rung
+//! (the only rung under the default [`ConvBackend::Direct`]) is a
+//! per-sample loop of one homogeneous-kernel dot product per active
+//! kernel, reading the same weights.
 
 use rrs_chaos::ChaosInjector;
 use rrs_error::{Budget, RrsError};
 use rrs_fft::FftPlanCache;
 use rrs_grid::{Grid2, Window};
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::Recorder;
 use rrs_spectrum::SpectrumModel;
-use rrs_surface::internal::{run_ladder, FftEngine, FftFields, Reach, WeightTable};
-use rrs_surface::{
-    BackendHealth, ConvBackend, ConvolutionKernel, GenContext, KernelSizing, NoiseField,
-};
+use rrs_surface::internal::WindowEngine;
+use rrs_surface::{ConvBackend, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
 use std::sync::Arc;
 
 /// Assigns per-sample kernel weights; implemented by
@@ -41,7 +40,9 @@ pub trait WeightMap: Send + Sync {
     fn spectra(&self) -> Vec<SpectrumModel>;
 
     /// Writes the non-zero `(kernel_index, weight)` pairs at `(x, y)` into
-    /// `out` (cleared first). Weights are non-negative and sum to 1.
+    /// `out` (cleared first). Weights are non-negative and sum to 1; an
+    /// index of `kernel_count()` or more fails the request with
+    /// [`RrsError::InvalidParam`].
     fn weights_at(&self, x: f64, y: f64, out: &mut Vec<(usize, f64)>);
 }
 
@@ -57,13 +58,11 @@ impl WeightMap for Box<dyn WeightMap> {
     }
 }
 
-/// Inhomogeneous surface generator over any [`WeightMap`].
+/// Inhomogeneous surface generator over any [`WeightMap`]: the map, and
+/// a window engine over one kernel per map entry.
 pub struct InhomogeneousGenerator<M> {
     map: M,
-    kernels: Vec<ConvolutionKernel>,
-    ctx: GenContext,
-    fft: FftEngine,
-    health: BackendHealth,
+    engine: WindowEngine,
 }
 
 impl<M: WeightMap> InhomogeneousGenerator<M> {
@@ -124,54 +123,47 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         if kernels.is_empty() {
             return Err(RrsError::invalid_param("kernels", "need at least one kernel"));
         }
-        let ctx = GenContext::new();
-        Ok(Self {
-            map,
-            kernels,
-            fft: FftEngine::new(Arc::clone(ctx.plan_cache())),
-            ctx,
-            health: BackendHealth::new(),
-        })
+        Ok(Self { map, engine: WindowEngine::new(kernels) })
     }
 
     /// Replaces the whole [`GenContext`] at once — the single entry
     /// point every `with_*` builder delegates to, shared verbatim with
-    /// the homogeneous generators. The FFT engine is rebuilt only when
-    /// the context carries a different plan cache, so re-applying a
-    /// context that shares the current cache keeps cached kernel
-    /// spectra warm.
-    pub fn with_context(mut self, ctx: GenContext) -> Self {
-        if !Arc::ptr_eq(self.fft.plans(), ctx.plan_cache()) {
-            self.fft = FftEngine::new(Arc::clone(ctx.plan_cache()));
-        }
-        self.ctx = ctx;
-        self
+    /// the homogeneous generators. Cached kernel spectra stay warm unless
+    /// the context carries a different plan cache; the window engine's
+    /// `with_context` documents exactly what carries over.
+    pub fn with_context(self, ctx: GenContext) -> Self {
+        Self { map: self.map, engine: self.engine.with_context(ctx) }
+    }
+
+    /// Applies `f` to a copy of the context, through
+    /// [`InhomogeneousGenerator::with_context`].
+    fn map_context(self, f: impl FnOnce(GenContext) -> GenContext) -> Self {
+        let ctx = f(self.context().clone());
+        self.with_context(ctx)
     }
 
     /// The generation context (workers, backend, plan cache, recorder,
     /// budget, chaos).
     pub fn context(&self) -> &GenContext {
-        &self.ctx
+        self.engine.context()
     }
 
     /// Sets the worker count (output is identical for any value).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.ctx = self.ctx.with_workers(workers);
-        self
+    pub fn with_workers(self, workers: usize) -> Self {
+        self.map_context(|c| c.with_workers(workers))
     }
 
     /// Attaches a recorder: window materialisation and the blending loop
     /// are timed, and the kernel-selection mix is counted
     /// (`inhomo/pure_samples`, `inhomo/blended_samples`,
     /// `inhomo/kernel_evals`). Observation never changes output.
-    pub fn with_recorder(mut self, obs: Recorder) -> Self {
-        self.ctx = self.ctx.with_recorder(obs);
-        self
+    pub fn with_recorder(self, obs: Recorder) -> Self {
+        self.map_context(|c| c.with_recorder(obs))
     }
 
     /// The attached recorder (disabled by default).
     pub fn recorder(&self) -> &Recorder {
-        self.ctx.recorder()
+        self.context().recorder()
     }
 
     /// Attaches a resource [`Budget`]: deadline/cancel polled at band
@@ -179,71 +171,66 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// noise window and output field are allocated. Defaults to
     /// [`Budget::unlimited`], under which generation is bit-identical to
     /// the unbudgeted path.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.ctx = self.ctx.with_budget(budget);
-        self
+    pub fn with_budget(self, budget: Budget) -> Self {
+        self.map_context(|c| c.with_budget(budget))
     }
 
     /// The attached budget ([`Budget::unlimited`] by default).
     pub fn budget(&self) -> &Budget {
-        self.ctx.budget()
+        self.context().budget()
     }
 
     /// Attaches a [`ChaosInjector`]: fault sites in the blending loop and
     /// the FFT rung consult its schedule. Disabled by default,
     /// under which generation is bit-identical to the un-instrumented
     /// path.
-    pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
-        self.ctx = self.ctx.with_chaos(chaos);
-        self
+    pub fn with_chaos(self, chaos: ChaosInjector) -> Self {
+        self.map_context(|c| c.with_chaos(chaos))
     }
 
     /// The attached chaos injector (disabled by default).
     pub fn chaos(&self) -> &ChaosInjector {
-        self.ctx.chaos()
+        self.context().chaos()
     }
 
-    /// Selects the convolution backend. Any backend but
-    /// [`ConvBackend::Direct`] runs one weight pass per request and sends
-    /// the window — pure or blended — to the same engine, degradation
-    /// ladder and circuit breaker as
-    /// [`ConvolutionGenerator`](rrs_surface::ConvolutionGenerator): when
-    /// every kernel active in the window resolves to
+    /// Selects the convolution backend. Every request runs one weight
+    /// pass and takes the same engine, degradation ladder and circuit
+    /// breaker as [`ConvolutionGenerator`](rrs_surface::ConvolutionGenerator):
+    /// when every kernel active in the window resolves to
     /// [`ConvBackend::FftOverlapSave`] (always for that backend, by kernel
     /// area for [`ConvBackend::Auto`]), each kernel's field is computed by
     /// overlap-save FFT — split into kernel blocks when the kernel dwarfs
     /// the window — and blended per sample with the pass's weights, within
     /// 1e-9 relative of the per-sample loop. Otherwise, and on a worker
-    /// panic or injected fault, the per-sample loop serves the window,
-    /// bit-identical to `Direct`. The default [`ConvBackend::Direct`]
-    /// skips the weight pass entirely and is bit-identical to previous
-    /// releases.
-    pub fn with_backend(mut self, backend: ConvBackend) -> Self {
-        self.ctx = self.ctx.with_backend(backend);
-        self
+    /// panic or injected fault, the per-sample loop serves the window;
+    /// under the default [`ConvBackend::Direct`] it always does, and is
+    /// bit-identical to previous releases.
+    pub fn with_backend(self, backend: ConvBackend) -> Self {
+        self.map_context(|c| c.with_backend(backend))
     }
 
     /// The configured backend policy ([`ConvBackend::Direct`] by default).
     pub fn backend(&self) -> ConvBackend {
-        self.ctx.backend()
+        self.context().backend()
     }
 
     /// Shares an [`FftPlanCache`] with other generators so FFT dispatches
-    /// reuse their twiddle tables (resets this generator's cached kernel
-    /// spectra).
+    /// reuse their twiddle tables. Sugar for
+    /// [`GenContext::with_plan_cache`] via
+    /// [`InhomogeneousGenerator::with_context`]: a different cache starts
+    /// the kernels' FFT spectra afresh.
     pub fn with_plan_cache(self, plans: Arc<FftPlanCache>) -> Self {
-        let ctx = self.ctx.clone().with_plan_cache(plans);
-        self.with_context(ctx)
+        self.map_context(|c| c.with_plan_cache(plans))
     }
 
     /// The plan cache backing the FFT path.
     pub fn plan_cache(&self) -> &Arc<FftPlanCache> {
-        self.fft.plans()
+        self.context().plan_cache()
     }
 
     /// The kernels, in map order.
     pub fn kernels(&self) -> &[ConvolutionKernel] {
-        &self.kernels
+        self.engine.kernels()
     }
 
     /// The weight map.
@@ -252,149 +239,14 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     }
 
     /// Fallible [`InhomogeneousGenerator::generate`]: reports worker
-    /// panics as [`RrsError::WorkerPanicked`] instead of propagating the
-    /// unwind. With a [`Budget`] attached, a tripped cancel/deadline
-    /// returns before any allocation and a byte ceiling rejects
-    /// oversized requests with [`RrsError::BudgetExceeded`] before the
-    /// noise window or output field is materialised.
+    /// panics — in the weight map too — as [`RrsError::WorkerPanicked`]
+    /// instead of propagating the unwind. With a [`Budget`] attached, a
+    /// tripped cancel/deadline returns before any allocation and a byte
+    /// ceiling rejects oversized requests with
+    /// [`RrsError::BudgetExceeded`] before the noise window or output
+    /// field is materialised.
     pub fn try_generate(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
-        self.ctx.budget().check()?;
-        let Window { nx, ny, .. } = win;
-        let samples = nx as u128 * ny as u128;
-        let table = if self.ctx.backend() == ConvBackend::Direct {
-            None
-        } else {
-            // The weight pass is O(nx·ny) map lookups; admit the output
-            // and the smallest possible table first so an oversized
-            // request still fails the byte ceiling before that work runs.
-            self.admit(samples + WeightTable::min_footprint(nx * ny))?;
-            Some(self.weight_pass(win))
-        };
-        // The window's active kernels (every kernel when no table was
-        // built) and the one noise window covering their reach, which
-        // both rungs read.
-        let active: Vec<(usize, &ConvolutionKernel)> = match &table {
-            Some(t) => t.active().into_iter().map(|k| (k, &self.kernels[k])).collect(),
-            None => self.kernels.iter().enumerate().collect(),
-        };
-        let reach = Reach::of(active.iter().map(|&(_, k)| k));
-        let (wx0, wy0, ww, wh) = reach.window(win);
-        let table_samples = table.as_ref().map_or(0, WeightTable::footprint);
-        let mut noise_win = Vec::new();
-        let (out, _) = run_ladder(
-            &self.ctx,
-            &self.health,
-            table.as_ref().map(|t| FftFields {
-                engine: &self.fft,
-                kernels: &active,
-                weights: Some(t),
-            }),
-            nx,
-            ny,
-            |fft_scratch| {
-                self.admit(
-                    ww as u128 * wh as u128 + samples + table_samples + fft_scratch.unwrap_or(0),
-                )?;
-                let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
-                noise.try_window_into(wx0, wy0, ww, wh, &mut noise_win)?;
-                self.ctx.recorder().finish(span);
-                Ok(&noise_win)
-            },
-            |noise_win| self.blend(win, noise_win, reach, table.as_ref()),
-        )?;
-        if let Some(t) = &table {
-            let (pure, blended, evals) = t.counts();
-            let mut shard = self.ctx.recorder().shard();
-            shard.add(stage::INHOMO_PURE_SAMPLES, pure);
-            shard.add(stage::INHOMO_BLENDED_SAMPLES, blended);
-            shard.add(stage::INHOMO_KERNEL_EVALS, evals);
-            self.ctx.recorder().absorb(shard);
-        }
-        Ok(out)
-    }
-
-    /// Admission control for a request materialising `samples` f64s: a
-    /// rejection ticks [`stage::BUDGET_REJECT`] before anything is
-    /// allocated.
-    fn admit(&self, samples: u128) -> Result<(), RrsError> {
-        self.ctx.budget().admit("inhomogeneous generation", samples * 8).inspect_err(|_| {
-            self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
-        })
-    }
-
-    /// The weight pass: one `weights_at` call per sample of `win`.
-    fn weight_pass(&self, win: Window) -> WeightTable {
-        WeightTable::build(win.nx, win.ny, |ix, iy, out| {
-            let (gx, gy) = (win.x0 + ix as i64, win.y0 + iy as i64);
-            self.map.weights_at(gx as f64, gy as f64, out)
-        })
-    }
-
-    /// The per-sample loop: `f(n) = Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over
-    /// `noise_win`, the noise window of `reach` around `win`. Reads the
-    /// weights from `table` when the weight pass ran, and asks the map
-    /// (and counts the kernel mix) itself otherwise. The bit-exact
-    /// reference for every window, and the ladder's Direct rung.
-    fn blend(
-        &self,
-        win: Window,
-        noise_win: &[f64],
-        reach: Reach,
-        table: Option<&WeightTable>,
-    ) -> Result<Grid2<f64>, RrsError> {
-        let Window { x0, y0, nx, ny } = win;
-        let (wx0, wy0, ww, _) = reach.window(win);
-        let mut out = Grid2::zeros(nx, ny);
-        let out_slice = out.as_mut_slice();
-        let span = self.ctx.recorder().start(stage::CORRELATE);
-        rrs_par::try_par_rows(
-            out_slice,
-            nx,
-            self.ctx.workers(),
-            self.ctx.recorder(),
-            self.ctx.budget(),
-            self.ctx.chaos(),
-            |iy0, chunk| {
-                let mut scratch: Vec<(usize, f64)> = Vec::with_capacity(self.kernels.len());
-                let mut pure = 0u64;
-                let mut blended = 0u64;
-                let mut evals = 0u64;
-                for (row_off, row) in chunk.chunks_mut(nx).enumerate() {
-                    let iy = iy0 + row_off;
-                    let gy = y0 + iy as i64;
-                    for (ix, slot) in row.iter_mut().enumerate() {
-                        let gx = x0 + ix as i64;
-                        let weights = match table {
-                            Some(t) => t.sample(iy * nx + ix),
-                            None => {
-                                self.map.weights_at(gx as f64, gy as f64, &mut scratch);
-                                if scratch.len() > 1 {
-                                    blended += 1;
-                                } else {
-                                    pure += 1;
-                                }
-                                evals += scratch.len() as u64;
-                                &scratch
-                            }
-                        };
-                        let mut acc = 0.0;
-                        for &(ki, g) in weights {
-                            acc += g * self.kernel_dot(ki, noise_win, ww, gx - wx0, gy - wy0);
-                        }
-                        *slot = acc;
-                    }
-                }
-                if table.is_none() {
-                    let mut shard = self.ctx.recorder().shard();
-                    shard.add(stage::INHOMO_PURE_SAMPLES, pure);
-                    shard.add(stage::INHOMO_BLENDED_SAMPLES, blended);
-                    shard.add(stage::INHOMO_KERNEL_EVALS, evals);
-                    self.ctx.recorder().absorb(shard);
-                }
-            },
-        )?;
-        self.ctx.recorder().finish(span);
-        Ok(out)
+        self.engine.try_generate(noise, win, Some(&|x, y, out| self.map.weights_at(x, y, out)))
     }
 
     /// Generates the surface samples requested by `win` from the
@@ -407,32 +259,6 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     pub fn generate(&self, noise: &NoiseField, win: Window) -> Grid2<f64> {
         self.try_generate(noise, win).unwrap_or_else(|e| panic!("{e}"))
     }
-
-    /// Evaluates `(w̃_ki ⊛ X)(n)` for the sample at window-local
-    /// coordinates `(lx, ly)`.
-    #[inline]
-    fn kernel_dot(&self, ki: usize, win: &[f64], ww: usize, lx: i64, ly: i64) -> f64 {
-        let kernel = &self.kernels[ki];
-        let (kw, kh) = kernel.extent();
-        let (ox, oy) = kernel.origin();
-        let weights = kernel.weights();
-        let mut acc = 0.0;
-        for b in 0..kh {
-            let jy = oy + b as i64;
-            let wy = (ly - jy) as usize;
-            let krow = weights.row(b);
-            // X(n−j) with jx = ox + a: window x index = lx − ox − a.
-            let base = (lx - ox) as usize;
-            let wrow = &win[wy * ww + base + 1 - kw..=wy * ww + base];
-            let mut s = 0.0;
-            for (a, &kv) in krow.iter().enumerate() {
-                s += kv * wrow[kw - 1 - a];
-            }
-            acc += s;
-        }
-        acc
-    }
-
 }
 
 #[cfg(test)]
@@ -441,7 +267,9 @@ mod tests {
     use crate::plate::{quadrant_layout, Plate, PlateLayout};
     use crate::point::{PointLayout, RepresentativePoint};
     use crate::region::Region;
+    use rrs_obs::stage;
     use rrs_spectrum::{SpectrumModel, SurfaceParams};
+    use rrs_surface::BackendHealth;
 
     fn sm(h: f64, cl: f64) -> SpectrumModel {
         SpectrumModel::gaussian(SurfaceParams::isotropic(h, cl))
@@ -453,24 +281,68 @@ mod tests {
 
     #[test]
     fn homogeneous_map_reduces_to_homogeneous_generator() {
-        // A single-plate layout must reproduce the homogeneous convolution
-        // generator exactly (same kernel, same noise).
+        // A single-plate layout reproduces the homogeneous convolution
+        // generator bit for bit (same kernel, same noise) on every
+        // backend: the one engine runs both, a pure weight-1 sample
+        // copies its field, and the per-sample loop adds in the
+        // vectorised correlate's order. The second input is a 96² kernel
+        // over a 16² window, which the FFT rung computes in blocks.
         let spectrum = sm(1.2, 5.0);
-        let layout = PlateLayout::new(vec![], Some(spectrum), 1.0);
-        let kernel = ConvolutionKernel::build(&spectrum, sizing());
-        let inh = InhomogeneousGenerator::from_kernels(layout, vec![kernel.clone()])
-            .with_workers(1);
-        let hom = rrs_surface::ConvolutionGenerator::from_kernel(kernel).with_workers(1);
         let noise = NoiseField::new(7);
-        let a = inh.generate(&noise, Window::new(-3, 4, 40, 24));
-        let b = hom.generate(&noise, Window::new(-3, 4, 40, 24));
-        let err = a
-            .as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-12, "max err {err}");
+        let explicit = KernelSizing::Explicit(rrs_spectrum::GridSpec::unit(96, 96));
+        for (sizing, win) in [(sizing(), Window::new(-3, 4, 40, 24)), (explicit, Window::new(5, -9, 16, 16))]
+        {
+            let kernel = ConvolutionKernel::build(&spectrum, sizing);
+            for backend in [ConvBackend::Direct, ConvBackend::FftOverlapSave, ConvBackend::Auto] {
+                let layout = PlateLayout::new(vec![], Some(spectrum), 1.0);
+                let inh = InhomogeneousGenerator::from_kernels(layout, vec![kernel.clone()])
+                    .with_workers(1)
+                    .with_backend(backend);
+                let hom = rrs_surface::ConvolutionGenerator::from_kernel(kernel.clone())
+                    .with_workers(1)
+                    .with_backend(backend);
+                assert_eq!(inh.generate(&noise, win), hom.generate(&noise, win), "{backend:?} {win:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn faulty_weight_maps_are_typed_on_every_backend() {
+        // A map that panics past x = 10, and one that names a kernel it
+        // does not have: the weight pass runs before the ladder on every
+        // backend, contained, so each fault surfaces as a typed error and
+        // nothing is materialised.
+        struct Faulty(PlateLayout, usize);
+        impl WeightMap for Faulty {
+            fn kernel_count(&self) -> usize {
+                self.0.kernel_count()
+            }
+            fn spectra(&self) -> Vec<SpectrumModel> {
+                self.0.spectra()
+            }
+            fn weights_at(&self, x: f64, y: f64, out: &mut Vec<(usize, f64)>) {
+                assert!(x <= 10.0, "weight map fault at x = {x}");
+                self.0.weights_at(x, y, out);
+                out[0].0 += self.1;
+            }
+        }
+        use rrs_error::ErrorKind;
+        for (win, shift, kind, message) in [
+            (Window::sized(24, 8), 0, ErrorKind::WorkerPanicked, "weight map fault"),
+            (Window::sized(8, 8), 1, ErrorKind::InvalidParam, "kernel index 1 out of range"),
+        ] {
+            for backend in [ConvBackend::Direct, ConvBackend::FftOverlapSave, ConvBackend::Auto] {
+                let rec = Recorder::enabled();
+                let map = Faulty(PlateLayout::new(vec![], Some(sm(1.0, 4.0)), 1.0), shift);
+                let gen = InhomogeneousGenerator::new(map, sizing())
+                    .with_backend(backend)
+                    .with_recorder(rec.clone());
+                let err = gen.try_generate(&NoiseField::new(3), win).unwrap_err();
+                assert_eq!(err.kind(), kind, "{backend:?}");
+                assert!(err.to_string().contains(message), "{err}");
+                assert!(!rec.report().durations.contains_key(stage::WINDOW_MATERIALISE));
+            }
+        }
     }
 
     #[test]
@@ -786,7 +658,7 @@ mod tests {
         for _ in 0..BackendHealth::THRESHOLD {
             assert_eq!(gen.try_generate(&noise, win).unwrap(), direct);
         }
-        assert!(gen.health.is_open());
+        assert!(gen.engine.health().is_open());
 
         let rec = Recorder::enabled();
         let gen = gen.with_recorder(rec.clone());
@@ -806,8 +678,8 @@ mod tests {
         }
         assert_eq!(rec.report().counter(stage::CONV_BREAKER_SKIPS), BackendHealth::PROBE_EVERY - 1);
         assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 1, "the probe ran the FFT rung");
-        assert!(!gen.health.is_open());
-        assert_eq!(gen.health.consecutive_failures(), 0);
+        assert!(!gen.engine.health().is_open());
+        assert_eq!(gen.engine.health().consecutive_failures(), 0);
         let scale = direct.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
         let fft = gen.try_generate(&noise, win).unwrap();
         for (a, b) in fft.as_slice().iter().zip(direct.as_slice()) {

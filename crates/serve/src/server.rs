@@ -183,7 +183,7 @@ impl GenKey {
     }
 
     /// The cache key ignoring `solo` — budgeted jobs still share the
-    /// cached kernel underneath their one-off generator.
+    /// cached generator's kernel, spectra and breaker through a clone.
     fn cache_key(mut self) -> Self {
         self.solo = 0;
         self
@@ -557,9 +557,10 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     let lead = &batch[0].req;
     let budgeted = lead.options.deadline_ms != 0 || lead.options.max_bytes != 0;
     let generator: Result<Arc<ConvolutionGenerator>, RrsError> = if budgeted {
-        // One-off generator wearing this request's Budget, sharing the
-        // cached kernel and the server plan cache underneath.
-        shared.generator_for(batch[0].key, lead).and_then(|cached| {
+        // A clone of the cached generator wearing this request's Budget:
+        // clones share the kernel, its cached FFT spectra and the
+        // breaker, so a budgeted batch runs as warm as an unbudgeted one.
+        shared.generator_for(batch[0].key, lead).map(|cached| {
             let mut budget = Budget::unlimited();
             if lead.options.deadline_ms != 0 {
                 budget = budget.with_timeout(Duration::from_millis(lead.options.deadline_ms as u64));
@@ -568,9 +569,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
                 budget = budget.with_max_bytes(lead.options.max_bytes as usize);
             }
             let ctx = cached.context().clone().with_budget(budget);
-            Ok(Arc::new(
-                ConvolutionGenerator::from_kernel(cached.kernel().clone()).with_context(ctx),
-            ))
+            Arc::new(ConvolutionGenerator::clone(&cached).with_context(ctx))
         })
     } else {
         shared.generator_for(batch[0].key, lead)

@@ -2,7 +2,7 @@
 //! per-sample weights (paper eqns 37/46, `f(n) = Σ_i g_i(n)·(w̃_i ⊛ X)(n)`).
 //!
 //! [`WeightTable`] holds one weight evaluation per sample of a window, so
-//! both rungs of the degradation ladder read the same weights without
+//! both rungs of the window engine's ladder read the same weights without
 //! asking the weight map twice. [`Reach`] is how far a set of kernels
 //! reaches around a sample: the padding of the one noise window every
 //! kernel of a request reads from.
@@ -13,7 +13,7 @@ use rrs_grid::Window;
 /// The non-zero `(kernel index, weight)` pairs of every sample of an
 /// `nx × ny` window, row-major.
 #[derive(Debug)]
-pub struct WeightTable {
+pub(crate) struct WeightTable {
     /// Sample `n`'s pairs are `pairs[starts[n]..starts[n + 1]]`.
     starts: Vec<u32>,
     pairs: Vec<(usize, f64)>,
@@ -26,7 +26,7 @@ impl WeightTable {
     ///
     /// # Panics
     /// Panics if the table would hold more than `u32::MAX` pairs.
-    pub fn build(
+    pub(crate) fn build(
         nx: usize,
         ny: usize,
         mut weights_at: impl FnMut(usize, usize, &mut Vec<(usize, f64)>),
@@ -48,24 +48,24 @@ impl WeightTable {
 
     /// The footprint of a table over `samples` samples that carries one
     /// pair per sample — the least any window needs — in f64-equivalents.
-    pub fn min_footprint(samples: usize) -> u128 {
+    pub(crate) fn min_footprint(samples: usize) -> u128 {
         (4 * (samples as u128 + 1) + 16 * samples as u128).div_ceil(8)
     }
 
     /// This table's footprint in f64-equivalents, for admission control.
-    pub fn footprint(&self) -> u128 {
+    pub(crate) fn footprint(&self) -> u128 {
         (4 * self.starts.len() as u128 + 16 * self.pairs.len() as u128).div_ceil(8)
     }
 
     /// Sample `n`'s `(kernel index, weight)` pairs.
     #[inline]
-    pub fn sample(&self, n: usize) -> &[(usize, f64)] {
+    pub(crate) fn sample(&self, n: usize) -> &[(usize, f64)] {
         &self.pairs[self.starts[n] as usize..self.starts[n + 1] as usize]
     }
 
     /// The kernel indices with a non-zero weight anywhere in the window,
     /// ascending.
-    pub fn active(&self) -> Vec<usize> {
+    pub(crate) fn active(&self) -> Vec<usize> {
         let mut seen = Vec::new();
         for &(k, _) in &self.pairs {
             if seen.len() <= k {
@@ -82,7 +82,7 @@ impl WeightTable {
 
     /// `(pure, blended, kernel evaluations)`: samples carrying one
     /// kernel, samples carrying several, and the pairs over all samples.
-    pub fn counts(&self) -> (u64, u64, u64) {
+    pub(crate) fn counts(&self) -> (u64, u64, u64) {
         let samples = self.starts.len() - 1;
         let pure = self.starts.windows(2).filter(|s| s[1] - s[0] == 1).count();
         (
@@ -115,21 +115,21 @@ impl WeightTable {
 /// How far a set of kernels reaches from a sample, in lattice steps:
 /// `f(n)` reads noise over `[n.x − left, n.x + right] × [n.y − down, n.y + up]`.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Reach {
+pub(crate) struct Reach {
     /// Steps to the left (towards −x).
-    pub left: i64,
+    pub(crate) left: i64,
     /// Steps to the right (towards +x).
-    pub right: i64,
+    pub(crate) right: i64,
     /// Steps down (towards −y).
-    pub down: i64,
+    pub(crate) down: i64,
     /// Steps up (towards +y).
-    pub up: i64,
+    pub(crate) up: i64,
 }
 
 impl Reach {
     /// The union reach of `kernels` (zero for an empty set). One
     /// kernel's reach spans exactly its extent, wherever its origin.
-    pub fn of<'a>(kernels: impl IntoIterator<Item = &'a ConvolutionKernel>) -> Self {
+    pub(crate) fn of<'a>(kernels: impl IntoIterator<Item = &'a ConvolutionKernel>) -> Self {
         kernels
             .into_iter()
             .map(|k| {
@@ -147,7 +147,7 @@ impl Reach {
     }
 
     /// The noise window `(x0, y0, width, height)` an output window reads.
-    pub fn window(&self, win: Window) -> (i64, i64, usize, usize) {
+    pub(crate) fn window(&self, win: Window) -> (i64, i64, usize, usize) {
         (
             win.x0 - self.left,
             win.y0 - self.down,

@@ -19,19 +19,17 @@
 //! disabled recorder records nothing and costs nothing, and enabling it
 //! never changes a single output bit.
 
-use crate::blend::Reach;
 use crate::context::GenContext;
-use crate::fftconv::FftEngine;
+use crate::engine::{BackendHealth, WindowEngine};
 use crate::kernel::{ConvolutionKernel, KernelSizing};
-use crate::ladder::{run_ladder, BackendHealth, FftFields};
 use crate::noise::NoiseField;
 use rrs_chaos::ChaosInjector;
 use rrs_error::{Budget, RrsError};
 use rrs_fft::FftPlanCache;
 use rrs_grid::{Grid2, Window};
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, Recorder};
 use rrs_spectrum::Spectrum;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Kernel area (`kw·kh`) above which [`ConvBackend::Auto`] dispatches to
 /// the FFT overlap-save engine. Measured with `bench_convolution`'s
@@ -90,17 +88,16 @@ impl ConvBackend {
     }
 }
 
-/// Homogeneous surface generator by real-space convolution.
+/// Homogeneous surface generator by real-space convolution: the window
+/// engine over one kernel at weight 1, plus the periodic and
+/// pre-materialised-window entry points.
+///
+/// Clones share the kernel, its cached FFT spectra and the circuit
+/// breaker; [`ConvolutionGenerator::with_context`] on a clone changes
+/// only that clone's context.
+#[derive(Clone)]
 pub struct ConvolutionGenerator {
-    kernel: ConvolutionKernel,
-    ctx: GenContext,
-    fft: FftEngine,
-    health: BackendHealth,
-    /// Noise-window scratch reused across requests (the streaming bench
-    /// materialises hundreds of same-shape windows per run); concurrent
-    /// requests that lose the `try_lock` race fall back to a fresh
-    /// allocation, so sharing a generator across threads stays safe.
-    scratch: Mutex<Vec<f64>>,
+    engine: WindowEngine,
 }
 
 impl ConvolutionGenerator {
@@ -127,90 +124,84 @@ impl ConvolutionGenerator {
     /// Wraps a prebuilt (possibly truncated) kernel with the default
     /// [`GenContext`].
     pub fn from_kernel(kernel: ConvolutionKernel) -> Self {
-        let ctx = GenContext::new();
-        Self {
-            kernel,
-            fft: FftEngine::new(Arc::clone(&ctx.plans)),
-            ctx,
-            health: BackendHealth::new(),
-            scratch: Mutex::new(Vec::new()),
-        }
+        Self { engine: WindowEngine::new(vec![kernel]) }
     }
 
     /// Replaces the whole [`GenContext`] at once — the single entry
     /// point every `with_*` builder delegates to, and the one a serving
-    /// front-end uses to apply wire-decoded per-request options. The FFT
-    /// engine is rebuilt only when the context carries a *different*
-    /// plan cache, so re-applying a context that shares the current
-    /// cache keeps this generator's cached kernel spectra warm.
-    pub fn with_context(mut self, ctx: GenContext) -> Self {
-        if !Arc::ptr_eq(self.fft.plans(), &ctx.plans) {
-            self.fft = FftEngine::new(Arc::clone(&ctx.plans));
-        }
-        self.ctx = ctx;
-        self
+    /// front-end uses to apply wire-decoded per-request options. Cached
+    /// kernel spectra stay warm unless the context carries a different
+    /// plan cache; the window engine's `with_context` documents exactly
+    /// what carries over.
+    pub fn with_context(self, ctx: GenContext) -> Self {
+        Self { engine: self.engine.with_context(ctx) }
+    }
+
+    /// Applies `f` to a copy of the context, through
+    /// [`ConvolutionGenerator::with_context`].
+    fn map_context(self, f: impl FnOnce(GenContext) -> GenContext) -> Self {
+        let ctx = f(self.context().clone());
+        self.with_context(ctx)
     }
 
     /// The generation context (workers, backend, plan cache, recorder,
     /// budget, chaos).
     pub fn context(&self) -> &GenContext {
-        &self.ctx
+        self.engine.context()
     }
 
     /// Sets the worker count (1 = serial). Output is identical for any
     /// worker count. Sugar for [`GenContext::with_workers`] via
     /// [`ConvolutionGenerator::with_context`].
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.ctx = self.ctx.with_workers(workers);
-        self
+    pub fn with_workers(self, workers: usize) -> Self {
+        self.map_context(|c| c.with_workers(workers))
     }
 
     /// Selects the convolution engine. [`ConvBackend::Direct`] (the
     /// default) keeps the reference spatial loop — bit-identical across
     /// releases; [`ConvBackend::FftOverlapSave`] evaluates the same sum
-    /// in the frequency domain (equal within 1e-9 relative);
-    /// [`ConvBackend::Auto`] picks per kernel size. Each request ticks
+    /// in the frequency domain (equal within 1e-9 relative), splitting
+    /// a kernel that dwarfs the window into blocks; [`ConvBackend::Auto`]
+    /// picks per kernel size. Each request ticks
     /// [`stage::CONV_BACKEND_DIRECT`] or [`stage::CONV_BACKEND_FFT`] for
     /// the engine it actually ran.
-    pub fn with_backend(mut self, backend: ConvBackend) -> Self {
-        self.ctx = self.ctx.with_backend(backend);
-        self
+    pub fn with_backend(self, backend: ConvBackend) -> Self {
+        self.map_context(|c| c.with_backend(backend))
     }
 
     /// The configured backend policy (not yet resolved — see
     /// [`ConvolutionGenerator::resolved_backend`]).
     pub fn backend(&self) -> ConvBackend {
-        self.ctx.backend
+        self.context().backend
     }
 
     /// The backend this generator actually runs for its kernel:
     /// `Auto` resolved through the measured crossover.
     pub fn resolved_backend(&self) -> ConvBackend {
-        let (kw, kh) = self.kernel.extent();
-        self.ctx.backend.resolve(kw, kh)
+        let (kw, kh) = self.kernel().extent();
+        self.context().backend.resolve(kw, kh)
     }
 
     /// Shares an [`FftPlanCache`] with this generator (and, through
     /// [`StripGenerator`](crate::StripGenerator), with streams built on
     /// it), so several generators transforming the same tile shapes reuse
-    /// one set of twiddle tables. Clears nothing: the generator's cached
-    /// kernel spectra are keyed independently.
+    /// one set of twiddle tables. Sugar for [`GenContext::with_plan_cache`]
+    /// via [`ConvolutionGenerator::with_context`]: a different cache
+    /// starts the kernel's FFT spectra afresh.
     pub fn with_plan_cache(self, plans: Arc<FftPlanCache>) -> Self {
-        let ctx = self.ctx.clone().with_plan_cache(plans);
-        self.with_context(ctx)
+        self.map_context(|c| c.with_plan_cache(plans))
     }
 
     /// The FFT plan cache backing the overlap-save engine.
     pub fn plan_cache(&self) -> &Arc<FftPlanCache> {
-        self.fft.plans()
+        &self.context().plans
     }
 
     /// Attaches a recorder for stage timings and counters. Observation
     /// never alters output: an enabled run is bit-identical to a disabled
     /// one.
-    pub fn with_recorder(mut self, obs: Recorder) -> Self {
-        self.ctx = self.ctx.with_recorder(obs);
-        self
+    pub fn with_recorder(self, obs: Recorder) -> Self {
+        self.map_context(|c| c.with_recorder(obs))
     }
 
     /// Attaches a resource [`Budget`]: a deadline and/or cancel token is
@@ -219,15 +210,14 @@ impl ConvolutionGenerator {
     /// window or output field is allocated. The default is
     /// [`Budget::unlimited`], under which every code path is bit-identical
     /// to (and as fast as) the unbudgeted generator.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.ctx = self.ctx.with_budget(budget);
-        self
+    pub fn with_budget(self, budget: Budget) -> Self {
+        self.map_context(|c| c.with_budget(budget))
     }
 
     /// The attached budget ([`Budget::unlimited`] unless
     /// [`ConvolutionGenerator::with_budget`] was called).
     pub fn budget(&self) -> &Budget {
-        &self.ctx.budget
+        &self.context().budget
     }
 
     /// Arms a deterministic fault schedule ([`ChaosInjector`]): every
@@ -237,40 +227,30 @@ impl ConvolutionGenerator {
     /// indices. The default is [`ChaosInjector::disabled`], under which
     /// every poll is a single branch and output is untouched (the
     /// `bench_runtime` gate holds the overhead under 1.05x).
-    pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
-        self.ctx = self.ctx.with_chaos(chaos);
-        self
+    pub fn with_chaos(self, chaos: ChaosInjector) -> Self {
+        self.map_context(|c| c.with_chaos(chaos))
     }
 
     /// The armed chaos injector (disabled unless
     /// [`ConvolutionGenerator::with_chaos`] was called).
     pub fn chaos(&self) -> &ChaosInjector {
-        &self.ctx.chaos
+        &self.context().chaos
     }
 
     /// This generator's circuit breaker over the degradation ladder.
     pub fn backend_health(&self) -> &BackendHealth {
-        &self.health
+        self.engine.health()
     }
 
     /// The kernel in use.
     pub fn kernel(&self) -> &ConvolutionKernel {
-        &self.kernel
+        &self.engine.kernels()[0]
     }
 
     /// The attached recorder (disabled unless
     /// [`ConvolutionGenerator::with_recorder`] was called).
     pub fn recorder(&self) -> &Recorder {
-        &self.ctx.obs
-    }
-
-    /// Admission control against the attached budget: `required_bytes` is
-    /// the f64 footprint this request would materialise. A rejection ticks
-    /// [`stage::BUDGET_REJECT`] and nothing has been allocated yet.
-    fn admit(&self, what: &'static str, required_samples: u128) -> Result<(), RrsError> {
-        self.ctx.budget.admit(what, required_samples * 8).inspect_err(|_| {
-            self.ctx.obs.add_counter(stage::BUDGET_REJECT, 1);
-        })
+        &self.context().obs
     }
 
     /// Fallible [`ConvolutionGenerator::generate`]: reports a worker
@@ -281,28 +261,7 @@ impl ConvolutionGenerator {
     /// ([`RrsError::BudgetExceeded`]) before the noise window or output
     /// field is materialised.
     pub fn try_generate(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
-        self.ctx.budget.check()?;
-        // f(n) = Σ_j w̃(j)·X(n−j); offsets j span [ox, ox+kw) × [oy, oy+kh),
-        // so the noise window spans [x0−(ox+kw−1), x0+nx−1−ox].
-        let (wx0, wy0, ww, wh) = Reach::of([&self.kernel]).window(win);
-        // Reuse the generator's scratch window when uncontended; a second
-        // concurrent request simply materialises into its own buffer.
-        let mut local = Vec::new();
-        let mut guard = self.scratch.try_lock().ok();
-        let buf: &mut Vec<f64> = guard.as_deref_mut().unwrap_or(&mut local);
-        self.dispatch(win.nx, win.ny, |fft_scratch| {
-            // Noise window plus output field plus the FFT rung's tile
-            // workspace, in u128 so the estimate itself cannot overflow
-            // even for windows far beyond addressable memory.
-            let samples = ww as u128 * wh as u128
-                + win.nx as u128 * win.ny as u128
-                + fft_scratch.unwrap_or(0);
-            self.admit("convolution generation", samples)?;
-            let span = self.ctx.obs.start(stage::WINDOW_MATERIALISE);
-            noise.try_window_into(wx0, wy0, ww, wh, buf)?;
-            self.ctx.obs.finish(span);
-            Ok(buf.as_slice())
-        })
+        self.engine.try_generate(noise, win, None)
     }
 
     /// Generates the surface samples requested by `win` from the
@@ -316,36 +275,13 @@ impl ConvolutionGenerator {
         self.try_generate(noise, win).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Routes an `nx × ny` request down the shared degradation ladder
-    /// (`FftOverlapSave → Direct`, behind this generator's circuit
-    /// breaker) with the vectorised correlate as the Direct rung.
-    /// `prepare` admits the request and returns its materialised
-    /// `(nx+kw−1) × (ny+kh−1)` noise window, which both rungs read.
-    fn dispatch<'w>(
-        &self,
-        nx: usize,
-        ny: usize,
-        prepare: impl FnOnce(Option<u128>) -> Result<&'w [f64], RrsError>,
-    ) -> Result<Grid2<f64>, RrsError> {
-        let ww = nx + self.kernel.extent().0 - 1;
-        run_ladder(
-            &self.ctx,
-            &self.health,
-            Some(FftFields { engine: &self.fft, kernels: &[(0, &self.kernel)], weights: None }),
-            nx,
-            ny,
-            prepare,
-            |win| self.correlate(win, ww, nx, ny),
-        )
-        .map(|(out, _)| out)
-    }
-
     /// Correlates a pre-materialised noise window against the kernel
     /// through the configured backend: `win` must be the row-major
     /// `(nx+kw−1) × (ny+kh−1)` window a `nx × ny` request materialises
-    /// (see [`ConvolutionGenerator::try_generate`] for its origin).
-    /// Public so benchmarks and equivalence suites can time and compare
-    /// the correlate stage in isolation from window materialisation.
+    /// (the window at `(x0 − (ox+kw−1), y0 − (oy+kh−1))` for kernel
+    /// origin `(ox, oy)`). Public so benchmarks and equivalence suites
+    /// can time and compare the correlate stage in isolation from window
+    /// materialisation.
     pub fn try_correlate_window(
         &self,
         win: &[f64],
@@ -358,7 +294,7 @@ impl ConvolutionGenerator {
                 format!("output window must be non-empty, got {nx}x{ny}"),
             ));
         }
-        let (kw, kh) = self.kernel.extent();
+        let (kw, kh) = self.kernel().extent();
         let ww = nx + kw - 1;
         let wh = ny + kh - 1;
         if win.len() != ww * wh {
@@ -368,67 +304,7 @@ impl ConvolutionGenerator {
                 win.len(),
             ));
         }
-        self.ctx.budget.check()?;
-        self.dispatch(nx, ny, |_| Ok(win))
-    }
-
-    /// The inner correlation: `out[ix,iy] = Σ_{a,b} w̃[a,b] ·
-    /// win[ix + kw−1−a, iy + kh−1−b]` — convolution with the kernel
-    /// flipped, which realises `Σ_j w̃(j)·X(n−j)` on the materialised
-    /// window.
-    ///
-    /// Loop structure: for each output row, each kernel row contributes a
-    /// sub-sum `s_row` accumulated *elementwise over output columns* —
-    /// `s_row[ix] += w̃[a,b]·win[ix + kw−1−a]` with `ix` innermost over
-    /// contiguous, independent lanes, which the compiler autovectorizes.
-    /// Per output sample the floating-point operation sequence (kernel
-    /// row sub-sum in ascending `a`, then `acc += s` in ascending `b`) is
-    /// exactly the historical scalar loop's, so output stays bit-identical
-    /// to every seed release.
-    fn correlate(&self, win: &[f64], ww: usize, nx: usize, ny: usize) -> Result<Grid2<f64>, RrsError> {
-        let (kw, kh) = self.kernel.extent();
-        let kernel = self.kernel.weights();
-        let mut out = Grid2::zeros(nx, ny);
-        let out_slice = out.as_mut_slice();
-        let span = self.ctx.obs.start(stage::CORRELATE);
-        rrs_par::try_par_rows(
-            out_slice,
-            nx,
-            self.ctx.workers,
-            &self.ctx.obs,
-            &self.ctx.budget,
-            &self.ctx.chaos,
-            |iy0, chunk| {
-                let mut s_row = vec![0.0f64; nx];
-                for (row_off, row) in chunk.chunks_mut(nx).enumerate() {
-                    let iy = iy0 + row_off;
-                    // `row` starts zeroed and plays the per-sample
-                    // accumulator; adding each kernel row's sub-sum in
-                    // ascending `b` preserves the scalar op order.
-                    for b in 0..kh {
-                        let krow = kernel.row(b);
-                        let wrow = &win[(iy + kh - 1 - b) * ww..][..ww];
-                        s_row.fill(0.0);
-                        for (a, &kv) in krow.iter().enumerate() {
-                            // Σ_a w̃[a,b] · win[ix + kw−1−a]: the reversed
-                            // window index becomes a forward slice offset.
-                            let wseg = &wrow[kw - 1 - a..][..nx];
-                            for (s, &w) in s_row.iter_mut().zip(wseg) {
-                                *s += kv * w;
-                            }
-                        }
-                        for (slot, &s) in row.iter_mut().zip(&s_row) {
-                            *slot += s;
-                        }
-                    }
-                }
-                let mut shard = self.ctx.obs.shard();
-                shard.add(stage::CORRELATE_SAMPLES, chunk.len() as u64);
-                self.ctx.obs.absorb(shard);
-            },
-        )?;
-        self.ctx.obs.finish(span);
-        Ok(out)
+        self.engine.correlate_window(win, nx, ny)
     }
 
     /// Fallible [`ConvolutionGenerator::convolve_periodic`]: additionally
@@ -437,7 +313,8 @@ impl ConvolutionGenerator {
     /// would no longer carry the prescribed statistics).
     pub fn try_convolve_periodic(&self, noise: &Grid2<f64>) -> Result<Grid2<f64>, RrsError> {
         let (nx, ny) = noise.shape();
-        let (kw, kh) = self.kernel.extent();
+        let kernel = self.kernel();
+        let (kw, kh) = kernel.extent();
         if nx == 0 || ny == 0 {
             return Err(RrsError::invalid_param(
                 "noise",
@@ -451,20 +328,21 @@ impl ConvolutionGenerator {
                 format!("{kw}x{kh}"),
             ));
         }
-        self.ctx.budget.check()?;
-        self.admit("periodic convolution", nx as u128 * ny as u128)?;
-        let (ox, oy) = self.kernel.origin();
-        let kernel = self.kernel.weights();
+        let ctx = self.context();
+        ctx.budget.check()?;
+        self.engine.admit("periodic convolution", nx as u128 * ny as u128)?;
+        let (ox, oy) = kernel.origin();
+        let kernel = kernel.weights();
         let mut out = Grid2::zeros(nx, ny);
         let out_slice = out.as_mut_slice();
-        let span = self.ctx.obs.start(stage::CORRELATE);
+        let span = ctx.obs.start(stage::CORRELATE);
         rrs_par::try_par_rows(
             out_slice,
             nx,
-            self.ctx.workers,
-            &self.ctx.obs,
-            &self.ctx.budget,
-            &self.ctx.chaos,
+            ctx.workers,
+            &ctx.obs,
+            &ctx.budget,
+            &ctx.chaos,
             |iy0, chunk| {
                 for (row_off, row) in chunk.chunks_mut(nx).enumerate() {
                     let iy = iy0 + row_off;
@@ -483,12 +361,12 @@ impl ConvolutionGenerator {
                         *slot = acc;
                     }
                 }
-                let mut shard = self.ctx.obs.shard();
+                let mut shard = ctx.obs.shard();
                 shard.add(stage::CORRELATE_SAMPLES, chunk.len() as u64);
-                self.ctx.obs.absorb(shard);
+                ctx.obs.absorb(shard);
             },
         )?;
-        self.ctx.obs.finish(span);
+        ctx.obs.finish(span);
         Ok(out)
     }
 
@@ -683,6 +561,10 @@ mod tests {
         let ctx = GenContext::new().with_plan_cache(Arc::clone(&other));
         let gen = gen.with_context(ctx);
         assert!(Arc::ptr_eq(gen.plan_cache(), &other));
+        // A clone on its own context still reports to the same breaker.
+        let clone = gen.clone().with_context(GenContext::new().with_workers(1));
+        clone.backend_health().record_failure();
+        assert_eq!(gen.backend_health().consecutive_failures(), 1);
     }
 
     #[test]

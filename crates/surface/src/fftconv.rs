@@ -19,19 +19,20 @@
 //! output regions, so the result is bit-identical for every worker
 //! count.
 //!
-//! [`FftEngine::convolve_fields`] is the degradation ladder's FFT rung.
-//! It evaluates `Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over the kernels of a request,
+//! [`FftEngine::convolve_fields`] is the window engine's FFT rung. It
+//! evaluates `Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over the kernels of a request,
 //! reading each kernel's window in place from the one noise window that
-//! covers them all, and blends the fields per sample through a
-//! [`WeightTable`]. A kernel whose single-block plan would need a lattice
-//! side more than 4× `next_pow2` of the window side takes the
-//! **partitioned** path ([`Blocks`]) instead: the kernel is split into
-//! blocks of `L − n + 1` on the window lattice `L = 2·next_pow2(n)`, the
-//! block products are summed in the frequency domain before one inverse
-//! transform, and block spectra are recomputed per call rather than
-//! cached, so a huge kernel never pins a huge cached spectrum. The
-//! homogeneous generators pass one kernel at weight 1 and keep the
-//! single-block plan.
+//! covers them all. One field rule holds whatever the weights: a kernel
+//! whose single-block plan would need a lattice side more than 4×
+//! `next_pow2` of the window side takes the **partitioned** path
+//! ([`Blocks`]) — the kernel is split into blocks of `L − n + 1` on the
+//! window lattice `L = 2·next_pow2(n)`, the block products are summed in
+//! the frequency domain before one inverse transform, and block spectra
+//! are recomputed per call rather than cached, so a huge kernel never
+//! pins a huge cached spectrum — and every other kernel keeps the cached
+//! single-block engine. The weights decide only whether a field is the
+//! output (one kernel at weight 1) or is accumulated into it through a
+//! [`WeightTable`].
 //!
 //! # Tile correctness
 //!
@@ -199,22 +200,21 @@ impl Blocks {
     }
 }
 
-/// The FFT rung's workspace beyond the noise window and the output, in
-/// f64-equivalents: the largest per-kernel engine scratch, plus the one
-/// field buffer a blended request accumulates through. Deterministic in
-/// its arguments, so admission control and the engine agree.
+/// The FFT rung's engine workspace beyond the noise window, the output
+/// and any field buffer, in f64-equivalents: the largest per-kernel
+/// engine scratch. Deterministic in its arguments, so admission control
+/// and the engine agree.
 pub(crate) fn fields_scratch(
     kernels: &[(usize, &ConvolutionKernel)],
-    blended: bool,
     nx: usize,
     ny: usize,
     workers: usize,
 ) -> u128 {
-    let engine = kernels
+    kernels
         .iter()
         .map(|&(_, kernel)| {
             let (kw, kh) = kernel.extent();
-            match Blocks::of(nx, ny, kw, kh).filter(|_| blended) {
+            match Blocks::of(nx, ny, kw, kh) {
                 Some(blocks) => blocks.scratch_samples(),
                 None => {
                     let shape = plan_tiles(nx, ny, kw, kh);
@@ -223,8 +223,7 @@ pub(crate) fn fields_scratch(
             }
         })
         .max()
-        .unwrap_or(0);
-    engine + if blended { nx as u128 * ny as u128 } else { 0 }
+        .unwrap_or(0)
 }
 
 /// A `w × h` region of a row-major noise window with row stride
@@ -299,10 +298,10 @@ unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
 /// The overlap-save engine: an [`FftPlanCache`] shared through the owning
-/// generator plus the packed-real forward transforms of its kernels,
+/// window engine plus the packed-real forward transforms of its kernels,
 /// cached per `(kernel id, tile shape)`, so repeated windows and strip
-/// tiles never re-transform the kernel.
-pub struct FftEngine {
+/// tiles never re-transform a kernel.
+pub(crate) struct FftEngine {
     plans: Arc<FftPlanCache>,
     kernel_rffts: Mutex<HashMap<(usize, usize, usize), Arc<Vec<Complex64>>>>,
 }
@@ -329,20 +328,19 @@ fn lock_spectra<'a>(
 
 impl FftEngine {
     /// Builds an engine drawing 2-D transforms from `plans`.
-    pub fn new(plans: Arc<FftPlanCache>) -> Self {
+    pub(crate) fn new(plans: Arc<FftPlanCache>) -> Self {
         Self { plans, kernel_rffts: Mutex::new(HashMap::new()) }
     }
 
     /// The plan cache this engine draws 2-D transforms from.
-    pub fn plans(&self) -> &Arc<FftPlanCache> {
+    pub(crate) fn plans(&self) -> &Arc<FftPlanCache> {
         &self.plans
     }
 
     /// The packed-real kernel spectrum on the `tile` lattice: the kernel
     /// weights zero-padded at the tile origin, transformed once with the
-    /// shared serial real plan and cached under `kernel_id` (callers with
-    /// several kernels — the inhomogeneous generator — key each one
-    /// distinctly).
+    /// shared serial real plan and cached under `kernel_id`, the kernel's
+    /// index in the window engine.
     fn kernel_spectrum_real(
         &self,
         kernel_id: usize,
@@ -369,15 +367,13 @@ impl FftEngine {
     /// The ladder's FFT rung: `out(n) = Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over
     /// `kernels` (`(cache id, kernel)` pairs), read from `win`, the
     /// row-major noise window of their union [`Reach`] around the
-    /// `nx × ny` output. Each kernel's own window is read in place.
-    ///
-    /// With `weights = None` the one kernel is the output at weight 1 on
-    /// the tile plan of [`FftEngine::convolve_rfft`] — the homogeneous
-    /// generator's path. With a [`WeightTable`] each kernel's field is
-    /// computed into one reused buffer, by the cached single-block engine
-    /// or, when [`Blocks::of`] finds the kernel dwarfs the window, by
-    /// [`FftEngine::convolve_partitioned`], and added to the output with
-    /// its weights.
+    /// `nx × ny` output. Each kernel's own window is read in place, and
+    /// its field computed by the cached single-block engine or, when
+    /// [`Blocks::of`] finds the kernel dwarfs the window, by
+    /// [`FftEngine::convolve_partitioned`]. With `weights = None` the one
+    /// kernel's field is the output; with a [`WeightTable`] each field
+    /// lands in one reused buffer and is added to the output with its
+    /// weights.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn convolve_fields(
         &self,
@@ -391,52 +387,28 @@ impl FftEngine {
         budget: &Budget,
         chaos: &ChaosInjector,
     ) -> Result<Grid2<f64>, RrsError> {
+        debug_assert!(weights.is_some() || kernels.len() == 1);
         let reach = Reach::of(kernels.iter().map(|&(_, k)| k));
         let ww = nx + (reach.left + reach.right) as usize;
         debug_assert_eq!(win.len(), ww * (ny + (reach.down + reach.up) as usize));
-        let view = |kernel: &ConvolutionKernel| {
-            let (x0, y0) = reach.offset_of(kernel);
-            let (kw, kh) = kernel.extent();
-            WinView { data: win, stride: ww, x0, y0, w: nx + kw - 1, h: ny + kh - 1 }
-        };
         let mut out = Grid2::zeros(nx, ny);
-        let Some(table) = weights else {
-            let &[(id, kernel)] = kernels else {
-                unreachable!("an unweighted request carries exactly one kernel")
-            };
-            let out_slice = out.as_mut_slice();
-            let view = view(kernel);
-            self.convolve_rfft(id, kernel, view, nx, ny, out_slice, workers, obs, budget, chaos)?;
-            return Ok(out);
-        };
-        let mut field = vec![0.0; nx * ny];
+        let mut field = if weights.is_some() { vec![0.0; nx * ny] } else { Vec::new() };
         for &(id, kernel) in kernels {
             let (kw, kh) = kernel.extent();
+            let (x0, y0) = reach.offset_of(kernel);
+            let view = WinView { data: win, stride: ww, x0, y0, w: nx + kw - 1, h: ny + kh - 1 };
+            let dst = if weights.is_some() { &mut field[..] } else { out.as_mut_slice() };
             match Blocks::of(nx, ny, kw, kh) {
                 Some(blocks) => self.convolve_partitioned(
-                    kernel,
-                    blocks,
-                    view(kernel),
-                    &mut field,
-                    workers,
-                    obs,
-                    budget,
-                    chaos,
+                    kernel, blocks, view, dst, workers, obs, budget, chaos,
                 )?,
                 None => self.convolve_rfft(
-                    id,
-                    kernel,
-                    view(kernel),
-                    nx,
-                    ny,
-                    &mut field,
-                    workers,
-                    obs,
-                    budget,
-                    chaos,
+                    id, kernel, view, nx, ny, dst, workers, obs, budget, chaos,
                 )?,
             }
-            table.accumulate(id, &field, out.as_mut_slice());
+            if let Some(table) = weights {
+                table.accumulate(id, &field, out.as_mut_slice());
+            }
         }
         Ok(out)
     }

@@ -25,27 +25,25 @@ mod blend;
 pub mod context;
 pub mod conv;
 pub mod direct;
+mod engine;
 mod fftconv;
 pub mod line;
 pub mod hermitian;
 pub mod kernel;
-mod ladder;
 pub mod noise;
 pub mod stream;
 
 pub use context::GenContext;
 pub use conv::{ConvBackend, ConvolutionGenerator};
-pub use ladder::BackendHealth;
+pub use engine::BackendHealth;
 
 #[doc(hidden)]
 pub mod internal {
-    //! Workspace-internal seam: the overlap-save engine, the degradation
-    //! ladder and the blended-window inputs, shared with `rrs-inhomo` so
-    //! its windows take the same FFT path, breaker and fallback policy as
-    //! the homogeneous generator. Not a stable public API.
-    pub use crate::blend::{Reach, WeightTable};
-    pub use crate::fftconv::FftEngine;
-    pub use crate::ladder::{run_ladder, FftFields};
+    //! Workspace-internal seam: the window engine, shared with
+    //! `rrs-inhomo` so its generator is a weight map over the same
+    //! request path, FFT engine, breaker and fallback policy as the
+    //! homogeneous one. Not a stable public API.
+    pub use crate::engine::WindowEngine;
 }
 pub use direct::DirectDftGenerator;
 pub use kernel::{ConvolutionKernel, KernelSizing};

@@ -15,6 +15,10 @@
 //! * **faults and budgets** — an injected FFT fault degrades a blended
 //!   window to output FNV-1a-equal to a clean Direct run, cancellation
 //!   surfaces typed, and admission charges the rung's whole workspace.
+//!
+//! The partition cases also run `ConvolutionGenerator`: it is the same
+//! window engine over one kernel at weight 1, so a kernel that dwarfs its
+//! window is split into blocks there too.
 
 use rrs::inhomo::WeightMap;
 use rrs::obs::stage;
@@ -133,21 +137,64 @@ fn generator(
         .with_workers(workers)
 }
 
+/// A generator under test: the inhomogeneous generator over a layout, or
+/// the homogeneous generator over one Gaussian kernel.
+#[derive(Clone, Copy)]
+enum Subject {
+    Map(Layout),
+    Homogeneous,
+}
+
+impl Subject {
+    fn try_generate(
+        self,
+        sizing: KernelSizing,
+        ctx: GenContext,
+        noise: &NoiseField,
+        win: Window,
+    ) -> Result<Grid2<f64>, RrsError> {
+        match self {
+            Subject::Map(map) => InhomogeneousGenerator::new(map(), sizing)
+                .with_context(ctx)
+                .try_generate(noise, win),
+            Subject::Homogeneous => ConvolutionGenerator::new(&gauss(1.5, 4.0), sizing)
+                .with_context(ctx)
+                .try_generate(noise, win),
+        }
+    }
+
+    /// `win` under `backend` and `workers`, observed by `rec`.
+    fn generate(
+        self,
+        sizing: KernelSizing,
+        backend: ConvBackend,
+        workers: usize,
+        rec: &Recorder,
+        noise: &NoiseField,
+        win: Window,
+    ) -> Grid2<f64> {
+        let ctx = GenContext::new()
+            .with_backend(backend)
+            .with_workers(workers)
+            .with_recorder(rec.clone());
+        self.try_generate(sizing, ctx, noise, win).unwrap()
+    }
+}
+
 /// Generates `win` under Direct, FFT and Auto; asserts both FFT paths
 /// within 1e-9 of Direct and returns the FFT generator's report.
 fn check_window(
-    map: impl Fn() -> Box<dyn WeightMap>,
+    subject: Subject,
     sizing: KernelSizing,
     win: Window,
     workers: usize,
 ) -> rrs::obs::report::ObsReport {
     let noise = NoiseField::new(0x5eed ^ (win.x0 as u64) ^ ((win.y0 as u64) << 20));
-    let direct = generator(map(), sizing, ConvBackend::Direct, workers).generate(&noise, win);
+    let off = Recorder::disabled();
+    let direct = subject.generate(sizing, ConvBackend::Direct, workers, &off, &noise, win);
     let rec = Recorder::enabled();
-    let fft = generator(map(), sizing, ConvBackend::FftOverlapSave, workers)
-        .with_recorder(rec.clone())
-        .generate(&noise, win);
-    let auto = generator(map(), sizing, ConvBackend::Auto, workers).generate(&noise, win);
+    let fft = subject.generate(sizing, ConvBackend::FftOverlapSave, workers, &rec, &noise, win);
+    let auto = subject.generate(sizing, ConvBackend::Auto, workers, &off, &noise, win);
     let err = rel_err(&direct, &fft);
     assert!(
         err <= 1e-9,
@@ -175,7 +222,7 @@ fn window_straddling_a_transition_blends_on_the_fft_rung() {
         (circle_pond, Window::new(0, 20, 30, 24)),
         (point_ring, Window::new(-8, -30, 28, 24)),
     ] {
-        let report = check_window(map, sizing(), win, 2);
+        let report = check_window(Subject::Map(map), sizing(), win, 2);
         assert!(
             report.counter(stage::INHOMO_BLENDED_SAMPLES) > 0,
             "{win:?} must blend"
@@ -188,7 +235,7 @@ fn window_spanning_two_pure_regions_copies_each_field() {
     // An odd side puts the quadrant boundary at 32.5; with T = 0.5 no
     // lattice sample blends, so the window is two pure halves.
     let win = Window::new(24, 4, 18, 20);
-    let report = check_window(|| plate_quadrants(65.0, 0.5), sizing(), win, 2);
+    let report = check_window(Subject::Map(|| plate_quadrants(65.0, 0.5)), sizing(), win, 2);
     assert_eq!(report.counter(stage::INHOMO_BLENDED_SAMPLES), 0);
     assert_eq!(
         report.counter(stage::INHOMO_PURE_SAMPLES),
@@ -208,7 +255,7 @@ fn window_inside_one_region_is_one_field() {
         (circle_pond, Window::new(26, 26, 12, 12)),
         (point_ring, Window::new(-6, -6, 12, 12)),
     ] {
-        let report = check_window(map, sizing(), win, 2);
+        let report = check_window(Subject::Map(map), sizing(), win, 2);
         assert_eq!(report.counter(stage::INHOMO_BLENDED_SAMPLES), 0, "{win:?}");
         assert_eq!(
             report.counter(stage::CORRELATE_SAMPLES),
@@ -226,12 +273,14 @@ fn kernel_dwarfing_its_window_is_computed_in_blocks() {
     let probe = InhomogeneousGenerator::new(point_ring(), sizing);
     assert!(probe.kernels().iter().all(|k| k.extent() == (96, 96)));
 
-    let pure = check_window(point_ring, sizing, Window::new(-8, -8, 16, 16), 2);
-    assert_eq!(pure.counter(stage::CONV_FFT_TILES), 36);
+    for subject in [Subject::Map(point_ring), Subject::Homogeneous] {
+        let pure = check_window(subject, sizing, Window::new(-8, -8, 16, 16), 2);
+        assert_eq!(pure.counter(stage::CONV_FFT_TILES), 36);
+    }
 
     // Straddling the centre cell's edge: two or more kernels, each in
     // 36 blocks.
-    let blended = check_window(point_ring, sizing, Window::new(12, -8, 16, 16), 3);
+    let blended = check_window(Subject::Map(point_ring), sizing, Window::new(12, -8, 16, 16), 3);
     let fields = blended.counter(stage::CORRELATE_SAMPLES) / (16 * 16);
     assert!(fields >= 2 && blended.counter(stage::INHOMO_BLENDED_SAMPLES) > 0);
     assert_eq!(blended.counter(stage::CONV_FFT_TILES), 36 * fields);
@@ -357,16 +406,17 @@ rrs_check::props! {
 #[test]
 fn injected_fft_panic_in_a_blended_window_degrades_to_direct_bits() {
     let noise = NoiseField::new(404);
-    // A partitioned blend (96² kernels over a 16² window) and a
-    // single-block one.
-    for (sizing, win) in [
-        (
-            KernelSizing::Explicit(GridSpec::unit(96, 96)),
-            Window::new(12, -8, 16, 16),
-        ),
-        (sizing(), Window::new(-8, -30, 28, 24)),
+    let explicit = KernelSizing::Explicit(GridSpec::unit(96, 96));
+    // A partitioned blend (96² kernels over a 16² window), a
+    // single-block one, and the homogeneous generator's partitioned
+    // field.
+    for (subject, sizing, win) in [
+        (Subject::Map(point_ring), explicit, Window::new(12, -8, 16, 16)),
+        (Subject::Map(point_ring), sizing(), Window::new(-8, -30, 28, 24)),
+        (Subject::Homogeneous, explicit, Window::new(12, -8, 16, 16)),
     ] {
-        let direct = generator(point_ring(), sizing, ConvBackend::Direct, 2).generate(&noise, win);
+        let off = Recorder::disabled();
+        let direct = subject.generate(sizing, ConvBackend::Direct, 2, &off, &noise, win);
         for visit in [0, 1] {
             let chaos = ChaosInjector::new(FaultSchedule::new(11).with_fault(
                 FaultSite::FftTile,
@@ -374,17 +424,21 @@ fn injected_fft_panic_in_a_blended_window_degrades_to_direct_bits() {
                 visit,
             ));
             let rec = Recorder::enabled();
-            let gen = generator(point_ring(), sizing, ConvBackend::FftOverlapSave, 2)
+            let ctx = GenContext::new()
+                .with_backend(ConvBackend::FftOverlapSave)
+                .with_workers(2)
                 .with_recorder(rec.clone())
                 .with_chaos(chaos.clone());
-            let got = gen.try_generate(&noise, win).unwrap();
+            let got = subject.try_generate(sizing, ctx, &noise, win).unwrap();
             assert_eq!(
                 fnv1a(&got),
                 fnv1a(&direct),
                 "{win:?} visit {visit}: degraded bits"
             );
             let report = rec.report();
-            assert!(report.counter(stage::INHOMO_BLENDED_SAMPLES) > 0);
+            if let Subject::Map(_) = subject {
+                assert!(report.counter(stage::INHOMO_BLENDED_SAMPLES) > 0);
+            }
             assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 1);
             assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 1);
             assert_eq!(chaos.injected(), 1);
@@ -432,29 +486,35 @@ fn admission_charges_the_blended_rungs_whole_workspace() {
     let win = Window::new(12, -8, 16, 16);
     let samples = (win.nx * win.ny) as u64;
     // Enough for the output and a one-pair-per-sample weight table (the
-    // weight pass runs), far short of the 112² noise window, the field
+    // weight pass runs), far short of the 111² noise window, the field
     // buffer and the block workspace.
     let ceiling = (8 * samples + 20 * samples + 64) as usize;
-    let rec = Recorder::enabled();
-    let gen = generator(point_ring(), sizing, ConvBackend::FftOverlapSave, 2)
-        .with_recorder(rec.clone())
-        .with_budget(Budget::unlimited().with_max_bytes(ceiling));
-    let err = gen.try_generate(&noise, win).unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::BudgetExceeded);
-    let report = rec.report();
-    assert_eq!(report.counter(stage::BUDGET_REJECT), 1);
-    assert_eq!(
-        report.counter(stage::CONV_BACKEND_FFT),
-        0,
-        "rejected before the rung ran"
-    );
-    assert!(
-        report.durations.get(stage::WINDOW_MATERIALISE).is_none(),
-        "nothing materialised"
-    );
+    for subject in [Subject::Map(point_ring), Subject::Homogeneous] {
+        let rec = Recorder::enabled();
+        let ctx = GenContext::new()
+            .with_backend(ConvBackend::FftOverlapSave)
+            .with_workers(2)
+            .with_recorder(rec.clone());
+        let tight = ctx.clone().with_budget(Budget::unlimited().with_max_bytes(ceiling));
+        let err = subject.try_generate(sizing, tight, &noise, win).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::BudgetExceeded);
+        let report = rec.report();
+        assert_eq!(report.counter(stage::BUDGET_REJECT), 1);
+        assert_eq!(
+            report.counter(stage::CONV_BACKEND_FFT),
+            0,
+            "rejected before the rung ran"
+        );
+        assert!(
+            !report.durations.contains_key(stage::WINDOW_MATERIALISE),
+            "nothing materialised"
+        );
 
-    // The same request fits once the ceiling covers the workspace.
-    let gen = gen.with_budget(Budget::unlimited().with_max_bytes(64 << 20));
-    let direct = generator(point_ring(), sizing, ConvBackend::Direct, 2).generate(&noise, win);
-    assert!(rel_err(&direct, &gen.try_generate(&noise, win).unwrap()) <= 1e-9);
+        // The same request fits once the ceiling covers the workspace.
+        let roomy = ctx.with_budget(Budget::unlimited().with_max_bytes(64 << 20));
+        let got = subject.try_generate(sizing, roomy, &noise, win).unwrap();
+        let off = Recorder::disabled();
+        let direct = subject.generate(sizing, ConvBackend::Direct, 2, &off, &noise, win);
+        assert!(rel_err(&direct, &got) <= 1e-9);
+    }
 }

@@ -255,6 +255,37 @@ fn per_request_budgets_ride_the_wire() {
 }
 
 #[test]
+fn warm_budgeted_requests_reuse_the_cached_kernel_spectrum() {
+    // A budgeted request runs on a clone of the cached generator, which
+    // shares its kernel spectra: once warm, it ticks the plan cache
+    // exactly as often as an unbudgeted request of the same key.
+    let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let server = serve(config).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let plain = GenerateRequest::new(1, 0, 9, spectrum(), Window::sized(48, 48))
+        .with_truncation(1e-3)
+        .with_sizing(6.0, 8, 64)
+        .with_backend(ConvBackend::FftOverlapSave);
+    let hits = || server.report().counter(stage::FFT_PLAN_HIT);
+    let warm = client.try_generate(&plain).expect("warm-up");
+    let h0 = hits();
+    let mut again = plain;
+    again.request_id = 2;
+    assert_eq!(client.try_generate(&again).expect("warm unbudgeted"), warm);
+    let h1 = hits();
+    let mut budgeted = plain.with_deadline_ms(60_000);
+    budgeted.request_id = 3;
+    assert_eq!(client.try_generate(&budgeted).expect("warm budgeted"), warm);
+    let h2 = hits();
+    assert_eq!(
+        h2 - h1,
+        h1 - h0,
+        "a warm budgeted request must not re-transform the kernel spectrum"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn malformed_and_bit_flipped_frames_get_typed_errors_over_tcp() {
     use rrs::serve::wire::{read_frame, write_frame, FrameKind};
     use std::io::Write;
