@@ -1,7 +1,10 @@
 //! Convolution backend benchmarks and dispatch gate.
 //!
 //! Measures three engine configurations on the `kernel_scaling` shapes
-//! (Gaussian, `KernelSizing::default()`, 128×128 output):
+//! (`KernelSizing::default()`, 128×128 output) with **exponential**
+//! kernels, which are not rank one, so the FFT rows time overlap-save
+//! tiles (a Gaussian kernel of the same extent would take the separable
+//! field):
 //!
 //! * `direct` — [`ConvBackend::Direct`], the spatial reference loop;
 //! * `rfft` — [`ConvBackend::FftOverlapSave`] at one worker: the
@@ -21,8 +24,24 @@
 //!   `AUTO_CROSSOVER_KERNEL_AREA` model has drifted from reality.
 //!
 //! `crossover/k13..k31` probes ride along informationally: cropped
-//! kernels bracketing the modelled crossover area show which side of the
-//! Direct/rfft boundary this machine actually favours.
+//! exponential kernels bracketing the modelled crossover area show which
+//! side of the Direct/rfft boundary this machine actually favours.
+//!
+//! `separable/*` rows check the FFT rung's cost rule, which picks two
+//! 1-D passes or overlap-save for a rank-one kernel. Each shape is timed
+//! twice at one worker on one pre-materialised window: `passes` runs
+//! `rrs_surface::internal::separable_passes` on a Gaussian kernel, whatever
+//! the rule picks, and `overlap_save` runs `try_correlate_window` on an
+//! exponential kernel of the same extent, which overlap-save treats
+//! alike. Shapes: `cl8..cl32` kernels on 128² windows and Figure 1's 231²
+//! kernel on a 64² window (`fig1_n64`), all on the passes' side;
+//! `cl64_n512`, a 512² kernel on a 512² window, on overlap-save's; and
+//! `fig1_n256`/`fig1_n1024`, near the crossover. The `separable` section
+//! records both minima, the passes' multiply-adds and the rule's pick
+//! for the Gaussian kernel. **Fails** if on a shape away from the
+//! crossover the engine the rule picks is more than 10% slower than the
+//! other one, i.e. the rule's `MACS_PER_FFT_UNIT` no longer matches this
+//! machine.
 //!
 //! Run with `cargo run --release -p rrs-bench --bin bench_convolution`;
 //! writes `BENCH_convolution.json` with a `dispatch` section recording
@@ -30,7 +49,9 @@
 
 use rrs_bench::Harness;
 use rrs_grid::Window;
-use rrs_spectrum::{Gaussian, SurfaceParams};
+use rrs_obs::{stage, Recorder};
+use rrs_spectrum::{Exponential, Gaussian, SurfaceParams};
+use rrs_surface::internal::separable_passes;
 use rrs_surface::{
     ConvBackend, ConvolutionGenerator, ConvolutionKernel, KernelSizing, NoiseField,
 };
@@ -47,6 +68,16 @@ struct Shape {
     gated: bool,
 }
 
+/// A cost-rule row: a Gaussian kernel and a non-separable twin of the
+/// same extent over an `out × out` window.
+struct SepShape {
+    label: String,
+    gaussian: ConvolutionKernel,
+    tiled: ConvolutionKernel,
+    out: usize,
+    gated: bool,
+}
+
 fn main() {
     let mut h = Harness::new("convolution").with_reps(5);
     let noise = NoiseField::new(1);
@@ -55,7 +86,7 @@ fn main() {
     let mut shapes: Vec<Shape> = [8.0, 16.0, 32.0]
         .iter()
         .map(|&cl| {
-            let s = Gaussian::new(SurfaceParams::isotropic(1.0, cl));
+            let s = Exponential::new(SurfaceParams::isotropic(1.0, cl));
             Shape {
                 label: format!("cl{}", cl as u64),
                 kernel: ConvolutionKernel::build(&s, KernelSizing::default()),
@@ -67,7 +98,7 @@ fn main() {
     // AUTO_CROSSOVER_KERNEL_AREA, where Direct and the real-input engine
     // trade places — informational (the exact boundary is machine- and
     // noise-sensitive), never gated.
-    let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
+    let s = Exponential::new(SurfaceParams::isotropic(1.0, 8.0));
     let base = ConvolutionKernel::build(&s, KernelSizing::default());
     for r in [6i64, 9, 12, 15] {
         let kernel = base.crop(r, r);
@@ -169,7 +200,105 @@ fn main() {
         }
     }
 
+    // Cost-rule rows: the passes alone (`separable_passes`, whatever the
+    // rule picks) on a Gaussian kernel against overlap-save on a
+    // non-separable kernel of the same extent (its work depends only on
+    // the extent), one worker, one pre-materialised window. The kernel
+    // shapes at 128² and Figure 1's 231² kernel at 64² sit on the passes'
+    // side of the rule, a 512² kernel on a 512² window on overlap-save's;
+    // Figure 1's kernel at 256² and 1024², where the two engines are
+    // within a few tens of percent, is recorded but not gated.
+    let mut sep_shapes: Vec<SepShape> = [(8.0, OUT), (16.0, OUT), (32.0, OUT), (64.0, 512)]
+        .iter()
+        .map(|&(cl, out)| {
+            let params = SurfaceParams::isotropic(1.0, cl);
+            let label = format!("cl{}", cl as u64);
+            SepShape {
+                label: if out == OUT { label } else { format!("{label}_n{out}") },
+                gaussian: ConvolutionKernel::build(&Gaussian::new(params), KernelSizing::default()),
+                tiled: ConvolutionKernel::build(&Exponential::new(params), KernelSizing::default()),
+                out,
+                gated: true,
+            }
+        })
+        .collect();
+    let fig1 = ConvolutionKernel::build(
+        &Gaussian::new(SurfaceParams::isotropic(2.0, 80.0)),
+        KernelSizing::Auto { factor: 8.0, min: 16, max: 2048 },
+    )
+    .truncated(0.01);
+    let fig1_twin = ConvolutionKernel::build(
+        &Exponential::new(SurfaceParams::isotropic(1.0, 32.0)),
+        KernelSizing::default(),
+    )
+    .crop(115, 115);
+    for (out, gated) in [(64, true), (256, false), (1024, false)] {
+        sep_shapes.push(SepShape {
+            label: format!("fig1_n{out}"),
+            gaussian: fig1.clone(),
+            tiled: fig1_twin.clone(),
+            out,
+            gated,
+        });
+    }
+    let mut separable_entries: Vec<String> = Vec::new();
+    for shape in &sep_shapes {
+        let (label, out) = (&shape.label, shape.out);
+        let (kw, kh) = shape.gaussian.extent();
+        assert_eq!(shape.tiled.extent(), (kw, kh), "twin kernels share an extent");
+        let window = noise.window(0, 0, out + kw - 1, out + kh - 1);
+        let passes = separable_passes(&shape.gaussian).expect("Gaussian kernels are rank one");
+        h.bench_elems(&format!("separable/{label}/passes"), (out * out) as u64, || {
+            black_box(passes(window.as_slice(), out, out))
+        });
+        let passes_min = h.last_record().expect("just recorded").min_ns;
+        let tiled = ConvolutionGenerator::from_kernel(shape.tiled.clone())
+            .with_workers(1)
+            .with_backend(ConvBackend::FftOverlapSave);
+        h.bench_elems(&format!("separable/{label}/overlap_save"), (out * out) as u64, || {
+            black_box(tiled.try_correlate_window(&window, out, out).expect("correlate"))
+        });
+        let tiled_min = h.last_record().expect("just recorded").min_ns;
+        // What the FFT rung picks for the Gaussian kernel on this window.
+        let rec = Recorder::enabled();
+        ConvolutionGenerator::from_kernel(shape.gaussian.clone())
+            .with_workers(1)
+            .with_backend(ConvBackend::FftOverlapSave)
+            .with_recorder(rec.clone())
+            .try_correlate_window(&window, out, out)
+            .expect("correlate");
+        let separable = rec.report().counter(stage::CONV_SEPARABLE_FIELDS) > 0;
+        let picked = if separable { "separable" } else { "overlap_save" };
+        let macs = out * (out + kh - 1) * kw + out * out * kh;
+        println!(
+            "separable/{label}: kernel {kw}x{kh} on {out}x{out}, rule -> {picked}, \
+             overlap-save/passes (min-of-reps) = {:.2}x",
+            tiled_min / passes_min
+        );
+        separable_entries.push(format!(
+            "{{\"shape\": \"{label}\", \"kernel\": [{kw}, {kh}], \"window\": [{out}, {out}], \
+             \"picked\": \"{picked}\", \"passes_min_ns\": {passes_min:.1}, \
+             \"overlap_save_min_ns\": {tiled_min:.1}, \"separable_macs\": {macs}}}"
+        ));
+        // The rule must land on the measured winner, with the Auto gate's
+        // 10% slack, on shapes away from its crossover.
+        let (picked_min, other_min) = if separable {
+            (passes_min, tiled_min)
+        } else {
+            (tiled_min, passes_min)
+        };
+        if shape.gated && picked_min > other_min * 1.1 {
+            eprintln!(
+                "FAIL: the cost rule picked {picked} on separable/{label} but the other \
+                 engine is {:.2}x faster — MACS_PER_FFT_UNIT no longer matches this machine",
+                picked_min / other_min
+            );
+            failed = true;
+        }
+    }
+
     h.attach_section("dispatch", format!("[{}]", dispatch_entries.join(", ")));
+    h.attach_section("separable", format!("[{}]", separable_entries.join(", ")));
     h.finish().expect("write BENCH_convolution.json");
 
     if failed {

@@ -73,6 +73,9 @@ pub mod stage {
     /// Counter: overlap-save tiles dispatched across multiple workers by
     /// the real-input FFT engine (subset of [`CONV_FFT_TILES`]).
     pub const CONV_TILES_PARALLEL: &str = "conv/tiles_parallel";
+    /// Counter: kernel fields the FFT backend computed as two 1-D passes
+    /// of a rank-one kernel instead of overlap-save tiles.
+    pub const CONV_SEPARABLE_FIELDS: &str = "conv/separable_fields";
     /// Counter: 2-D FFT plan requests served from a shared plan cache.
     pub const FFT_PLAN_HIT: &str = "fft/plan_hit";
     /// Counter: 2-D FFT plan requests that had to build a new plan.

@@ -54,14 +54,24 @@ pub enum ConvBackend {
     /// across releases, fastest for small kernels. The default.
     #[default]
     Direct,
-    /// Frequency-domain overlap-save tiling (`O(N log N)`) through the
-    /// **real-input** pipeline: half-size-trick transforms on packed
-    /// Hermitian spectra, tiles dispatched across the generator's
-    /// workers with per-worker scratch arenas. Equal to `Direct` within
-    /// floating-point roundoff (≤ 1e-9 relative — the property suite
-    /// enforces it), bit-identical across worker counts, and dramatically
-    /// faster than `Direct` for large kernels. A worker panic or an
-    /// injected fault degrades the request to `Direct`.
+    /// The fast rung. Frequency-domain overlap-save tiling
+    /// (`O(N log N)`) through the **real-input** pipeline: half-size-trick
+    /// transforms on packed Hermitian spectra, tiles dispatched across
+    /// the generator's workers with per-worker scratch arenas.
+    ///
+    /// A rank-one kernel `w̃ = c ⊗ r` — every Gaussian, whose spectrum
+    /// factorises (paper eqns 5–6) — skips the FFT where that is cheaper:
+    /// its field runs as two 1-D passes, `kw + kh` multiply-adds per
+    /// sample. The rank test accepts `Σ|w̃ − c⊗r| ≤ 1e-11·‖w̃‖₂`, which
+    /// keeps the field within 1e-10 of its scale; a fixed cost rule
+    /// compares the passes with the FFT plan's modelled transforms, so
+    /// small windows take the passes and large ones keep overlap-save.
+    ///
+    /// Equal to `Direct` within floating-point roundoff (≤ 1e-9 relative
+    /// — the property suite enforces it), bit-identical across worker
+    /// counts, and dramatically faster than `Direct` for large kernels. A
+    /// worker panic or an injected fault degrades the request to
+    /// `Direct`.
     FftOverlapSave,
     /// Picks per request: `FftOverlapSave` when the kernel area exceeds
     /// the measured crossover

@@ -5,9 +5,10 @@
 //! `f(n) = Σ_i g_i(n)·(w̃_i ⊛ X)(n)`; the homogeneous convolution of
 //! eqn 36 is its one-kernel, weight-1 case. A [`WindowEngine`] evaluates
 //! that sum over one output window and owns everything a request
-//! touches: the kernels, the [`GenContext`], the overlap-save
-//! [`FftEngine`] with its cached kernel spectra, the circuit breaker
-//! ([`BackendHealth`]) and the reused noise-window scratch.
+//! touches: the kernels with their rank-one [`Factors`] (tested once,
+//! when the engine is built), the [`GenContext`], the [`FftEngine`] with
+//! its cached kernel spectra, the circuit breaker ([`BackendHealth`])
+//! and the reused noise-window scratch.
 //! [`ConvolutionGenerator`](crate::ConvolutionGenerator) is an engine
 //! over one kernel; the inhomogeneous generator is a weight map over an
 //! engine of several. A request runs, in order:
@@ -23,7 +24,10 @@
 //! The ladder owns the breaker check, the `catch_unwind` around each
 //! rung, the rule for which failures degrade, and the `conv/backend_*`,
 //! `conv/degraded_to_direct` and `conv/breaker_skips` counters. Its FFT
-//! rung is [`FftEngine::convolve_fields`]. Its Direct rung is the
+//! rung is [`FftEngine::convolve_fields`], which computes each kernel's
+//! field by overlap-save tiles, kernel blocks or — for a factored kernel
+//! where a fixed cost rule finds it cheaper — two 1-D passes that skip
+//! the FFT (`conv/separable_fields`). Its Direct rung is the
 //! vectorised correlate for one kernel at weight 1, and the per-sample
 //! loop over the weight table otherwise; for a single-kernel map the two
 //! produce the same bits.
@@ -31,7 +35,7 @@
 use crate::blend::{Reach, WeightTable};
 use crate::context::GenContext;
 use crate::conv::ConvBackend;
-use crate::fftconv::{fields_scratch, FftEngine};
+use crate::fftconv::{fields_scratch, Factors, FftEngine};
 use crate::kernel::ConvolutionKernel;
 use crate::noise::NoiseField;
 use rrs_error::{ErrorKind, RrsError};
@@ -129,12 +133,15 @@ type WeightsAt<'a> = &'a dyn Fn(f64, f64, &mut Vec<(usize, f64)>);
 /// the request path that evaluates `f(n) = Σ_i g_i(n)·(w̃_i ⊛ X)(n)`
 /// with them (see the module docs).
 ///
-/// Clones share the kernels, the FFT engine with its cached kernel
-/// spectra, the breaker and the noise-window scratch; only the
-/// [`GenContext`] is per clone.
+/// Clones share the kernels and their rank-one factors, the FFT engine
+/// with its cached kernel spectra, the breaker and the noise-window
+/// scratch; only the [`GenContext`] is per clone.
 #[derive(Clone)]
 pub struct WindowEngine {
     kernels: Arc<[ConvolutionKernel]>,
+    /// Per kernel, its factors when it is rank one ([`Factors::of`]):
+    /// the FFT rung may then compute its field in two 1-D passes.
+    factors: Arc<[Option<Factors>]>,
     ctx: GenContext,
     fft: Arc<FftEngine>,
     health: Arc<BackendHealth>,
@@ -144,10 +151,12 @@ pub struct WindowEngine {
 }
 
 impl WindowEngine {
-    /// An engine over `kernels` with the default [`GenContext`].
+    /// An engine over `kernels` with the default [`GenContext`]. Each
+    /// kernel is tested once for rank one here.
     pub fn new(kernels: Vec<ConvolutionKernel>) -> Self {
         let ctx = GenContext::new();
         Self {
+            factors: kernels.iter().map(Factors::of).collect(),
             kernels: kernels.into(),
             fft: Arc::new(FftEngine::new(Arc::clone(&ctx.plans))),
             ctx,
@@ -328,13 +337,16 @@ impl WindowEngine {
         let fft = eligible && !skipped;
         // A weighted request accumulates through one field buffer.
         let field = table.map_or(0, |_| nx as u128 * ny as u128);
-        let win = prepare(fft.then(|| fields_scratch(kernels, nx, ny, ctx.workers) + field))?;
+        let win = prepare(
+            fft.then(|| fields_scratch(kernels, &self.factors, nx, ny, ctx.workers) + field),
+        )?;
 
         if fft {
             obs.add_counter(stage::CONV_BACKEND_FFT, 1);
             let attempt = contained(|| {
                 self.fft.convolve_fields(
                     kernels,
+                    &self.factors,
                     table,
                     win,
                     nx,

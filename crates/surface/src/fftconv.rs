@@ -1,5 +1,6 @@
-//! Overlap-save FFT convolution — the engine behind
-//! [`ConvBackend::FftOverlapSave`](crate::ConvBackend).
+//! The FFT rung's field engines behind
+//! [`ConvBackend::FftOverlapSave`](crate::ConvBackend): overlap-save
+//! tiles, kernel blocks, and the separable field of a rank-one kernel.
 //!
 //! The direct correlate loop costs `O(nx·ny·kw·kh)`; by the convolution
 //! theorem the same surface is `IFFT(FFT(X)·FFT(w̃))` at
@@ -22,17 +23,29 @@
 //! [`FftEngine::convolve_fields`] is the window engine's FFT rung. It
 //! evaluates `Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over the kernels of a request,
 //! reading each kernel's window in place from the one noise window that
-//! covers them all. One field rule holds whatever the weights: a kernel
-//! whose single-block plan would need a lattice side more than 4×
-//! `next_pow2` of the window side takes the **partitioned** path
-//! ([`Blocks`]) — the kernel is split into blocks of `L − n + 1` on the
-//! window lattice `L = 2·next_pow2(n)`, the block products are summed in
-//! the frequency domain before one inverse transform, and block spectra
-//! are recomputed per call rather than cached, so a huge kernel never
-//! pins a huge cached spectrum — and every other kernel keeps the cached
-//! single-block engine. The weights decide only whether a field is the
-//! output (one kernel at weight 1) or is accumulated into it through a
-//! [`WeightTable`].
+//! covers them all. One field rule, [`FieldPlan::of`], holds whatever
+//! the weights:
+//!
+//! * a kernel whose single-block plan would need a lattice side more
+//!   than 4× `next_pow2` of the window side is **partitioned**
+//!   ([`Blocks`]) — split into blocks of `L − n + 1` on the window
+//!   lattice `L = 2·next_pow2(n)`, the block products summed in the
+//!   frequency domain before one inverse transform, block spectra
+//!   recomputed per call rather than cached, so a huge kernel never pins
+//!   a huge cached spectrum; any other kernel keeps the cached
+//!   single-block engine;
+//! * a **rank-one** kernel `w̃ = c ⊗ r` ([`Factors`], tested once per
+//!   window engine; the paper's Gaussian spectrum factorises, eqns 5–6)
+//!   computes its field in two 1-D passes instead
+//!   ([`convolve_separable`]) when their `kw + kh` multiply-adds per
+//!   sample cost less than that FFT plan. The rank test's bound keeps
+//!   the factored field within 1e-10 of its scale, and the cost constant
+//!   [`MACS_PER_FFT_UNIT`] is fixed, so large kernels on large windows
+//!   keep overlap-save and the choice never depends on the host or the
+//!   worker count.
+//!
+//! The weights decide only whether a field is the output (one kernel at
+//! weight 1) or is accumulated into it through a [`WeightTable`].
 //!
 //! # Tile correctness
 //!
@@ -55,7 +68,10 @@
 //! (≤ ~12 candidates per axis), so the exact model is evaluated rather
 //! than approximated. Worker dispatch then splits the flattened tile
 //! index range evenly; a request whose plan yields a single tile runs
-//! serially regardless of the configured worker count.
+//! serially regardless of the configured worker count. The same units
+//! price a field's FFT plan against its separable passes: a partitioned
+//! field costs half a tile per transform, two per block plus one
+//! inverse.
 
 use crate::blend::{Reach, WeightTable};
 use crate::kernel::ConvolutionKernel;
@@ -200,27 +216,164 @@ impl Blocks {
     }
 }
 
+/// The two 1-D factors of a rank-one kernel, `w̃[a, b] = row[a]·col[b]`
+/// (`a` along x, `b` along y). The paper's Gaussian spectrum (eqns 5–6)
+/// is a product of one x and one y factor, so its kernel — the DFT of a
+/// separable amplitude array — factorises too, and cropping it keeps the
+/// factorisation; exponential, power-law and rotated anisotropic kernels
+/// do not.
+#[derive(Clone, Debug)]
+pub(crate) struct Factors {
+    row: Vec<f64>,
+    col: Vec<f64>,
+}
+
+impl Factors {
+    /// Acceptance bound of the rank test, relative to `‖w̃‖₂`.
+    ///
+    /// A field computed from the factors differs from the kernel's by
+    /// `Σ_j (w̃ − c⊗r)[j]·X(n−j)`, at most `Σ|w̃ − c⊗r| · max|X|`. The
+    /// noise lattice draws `X = √(−2 ln u)·cos θ` with `u ≥ 2⁻⁵⁴`, so
+    /// `|X| < 8.7`, and the output's scale is its standard deviation
+    /// `h = ‖w̃‖₂`. Accepting `Σ|w̃ − c⊗r| ≤ 1e-11·‖w̃‖₂` therefore keeps
+    /// every output sample within `8.7e-11·h < 1e-10·h` of the unfactored
+    /// field (a caller-supplied window scales the bound by its own
+    /// `max|X|`). Sampled Gaussian kernels leave a residual near 1e-16 of
+    /// their peak per weight, orders of magnitude inside the bound.
+    const REL_RESIDUAL: f64 = 1e-11;
+
+    /// The factors of `kernel` when it is rank one within
+    /// [`Factors::REL_RESIDUAL`], else `None`. Pivots on the largest
+    /// `|w̃|`: the row through it is `r`, and the column through it,
+    /// divided by the pivot, is `c`. A zero or non-finite kernel is never
+    /// factored.
+    pub(crate) fn of(kernel: &ConvolutionKernel) -> Option<Self> {
+        let (kw, kh) = kernel.extent();
+        let weights = kernel.weights();
+        let data = weights.as_slice();
+        let (at, &pivot) = data
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))?;
+        if pivot == 0.0 || !pivot.is_finite() {
+            return None;
+        }
+        let row = weights.row(at / kw).to_vec();
+        let col: Vec<f64> = (0..kh).map(|b| data[b * kw + at % kw] / pivot).collect();
+        // Both sums run over w̃/pivot, whose terms are at most 1, so
+        // neither overflows however large the weights are.
+        let norm = data.iter().map(|w| (w / pivot).powi(2)).sum::<f64>().sqrt();
+        let bound = Self::REL_RESIDUAL * norm;
+        let mut residual = 0.0;
+        for (b, &c) in col.iter().enumerate() {
+            for (&w, &r) in weights.row(b).iter().zip(&row) {
+                residual += (w / pivot - c * (r / pivot)).abs();
+            }
+            // A NaN weight leaves a NaN residual, which must not pass.
+            if residual.is_nan() || residual > bound {
+                return None;
+            }
+        }
+        Some(Self { row, col })
+    }
+}
+
+/// Multiply-adds of the two 1-D passes that take as long as one unit of
+/// the FFT cost model (`area · (log2 area + 1)` per tile, half that per
+/// transform). `bench_convolution`'s `separable` rows time both engines
+/// on both sides of the rule (one worker, 2-vCPU x86-64): the passes ran
+/// 1.6–4× faster on 128² windows under 64²–256² Gaussian kernels and
+/// 7–9× on Figure 1's 64² windows under its 231² kernel, overlap-save
+/// 2.2–2.5× faster for a 512² kernel on a 512² window, and the two
+/// stayed within 20% of each other for the 231² kernel on 256² and 1024²
+/// windows, where the rule sits near its break-even. The constant is
+/// fixed, so the plan, and with it every output bit, depends on neither
+/// the host nor the worker count; the rows' gate fails when a pick away
+/// from the crossover is more than 10% slower than the other engine.
+const MACS_PER_FFT_UNIT: f64 = 6.0;
+
+/// How the FFT rung computes one kernel's field over an `nx × ny`
+/// window. One rule serves admission and the engine, so both agree.
+#[derive(Clone, Copy, Debug)]
+enum FieldPlan<'a> {
+    /// Two 1-D passes of a rank-one kernel.
+    Separable(&'a Factors),
+    /// Overlap-save tiles with the cached single-block kernel spectrum.
+    Tiles(TileShape),
+    /// Kernel blocks on the window lattice.
+    Blocks(Blocks),
+}
+
+impl<'a> FieldPlan<'a> {
+    /// The plan for a `kw × kh` kernel with its `factors`, if it is rank
+    /// one. The FFT plan is [`Blocks`] when the kernel dwarfs the window,
+    /// else [`plan_tiles`]; a factored kernel takes the two passes instead
+    /// when their `nx·(ny+kh−1)·kw + nx·ny·kh` multiply-adds cost less
+    /// than the FFT plan's modelled transforms at [`MACS_PER_FFT_UNIT`].
+    /// A small window favours the passes, since an FFT plan pays for a
+    /// lattice much larger than the window; on a large one the passes
+    /// cost `kw + kh` per sample and overlap-save about the log of its
+    /// tile area, so large kernels keep overlap-save.
+    fn of(nx: usize, ny: usize, kw: usize, kh: usize, factors: Option<&'a Factors>) -> Self {
+        let (fft, units) = match Blocks::of(nx, ny, kw, kh) {
+            Some(blocks) => {
+                let area = (blocks.lx * blocks.ly) as f64;
+                // Two forward transforms per block, one inverse per field.
+                let transforms = (2 * blocks.count() + 1) as f64;
+                (
+                    FieldPlan::Blocks(blocks),
+                    transforms * area * (area.log2() + 1.0) / 2.0,
+                )
+            }
+            None => {
+                let shape = plan_tiles(nx, ny, kw, kh);
+                let (tx, ty) = shape.tiles(nx, ny, kw, kh);
+                let area = (shape.fft_nx * shape.fft_ny) as f64;
+                (
+                    FieldPlan::Tiles(shape),
+                    (tx * ty) as f64 * area * (area.log2() + 1.0),
+                )
+            }
+        };
+        let (nxf, nyf) = (nx as f64, ny as f64);
+        let macs = nxf * (nyf + kh as f64 - 1.0) * kw as f64 + nxf * nyf * kh as f64;
+        match factors {
+            Some(f) if macs < MACS_PER_FFT_UNIT * units => FieldPlan::Separable(f),
+            _ => fft,
+        }
+    }
+
+    /// Workspace in f64-equivalents beyond the noise window, the output
+    /// and any field buffer.
+    fn scratch_samples(&self, nx: usize, ny: usize, kw: usize, kh: usize, workers: usize) -> u128 {
+        match *self {
+            // The row pass's (ny+kh−1) × nx buffer.
+            FieldPlan::Separable(_) => nx as u128 * (ny + kh - 1) as u128,
+            FieldPlan::Tiles(shape) => {
+                shape.scratch_samples_real(effective_workers(shape, nx, ny, kw, kh, workers))
+            }
+            FieldPlan::Blocks(blocks) => blocks.scratch_samples(),
+        }
+    }
+}
+
 /// The FFT rung's engine workspace beyond the noise window, the output
 /// and any field buffer, in f64-equivalents: the largest per-kernel
-/// engine scratch. Deterministic in its arguments, so admission control
-/// and the engine agree.
+/// field workspace. `factors` is indexed by kernel id. Deterministic in
+/// its arguments, so admission control and the engine agree.
 pub(crate) fn fields_scratch(
     kernels: &[(usize, &ConvolutionKernel)],
+    factors: &[Option<Factors>],
     nx: usize,
     ny: usize,
     workers: usize,
 ) -> u128 {
     kernels
         .iter()
-        .map(|&(_, kernel)| {
+        .map(|&(id, kernel)| {
             let (kw, kh) = kernel.extent();
-            match Blocks::of(nx, ny, kw, kh) {
-                Some(blocks) => blocks.scratch_samples(),
-                None => {
-                    let shape = plan_tiles(nx, ny, kw, kh);
-                    shape.scratch_samples_real(effective_workers(shape, nx, ny, kw, kh, workers))
-                }
-            }
+            FieldPlan::of(nx, ny, kw, kh, factors[id].as_ref())
+                .scratch_samples(nx, ny, kw, kh, workers)
         })
         .max()
         .unwrap_or(0)
@@ -240,6 +393,11 @@ struct WinView<'a> {
 }
 
 impl WinView<'_> {
+    /// Row `y` of the view.
+    fn row(&self, y: usize) -> &[f64] {
+        &self.data[(self.y0 + y) * self.stride + self.x0..][..self.w]
+    }
+
     /// Loads the `fx × fy` segment at `(ox, oy)` into `real`, zero-padded
     /// past the view's right and top edges.
     fn gather(&self, ox: usize, oy: usize, fx: usize, real: &mut [f64]) {
@@ -365,19 +523,20 @@ impl FftEngine {
     }
 
     /// The ladder's FFT rung: `out(n) = Σ_i g_i(n)·(w̃_i ⊛ X)(n)` over
-    /// `kernels` (`(cache id, kernel)` pairs), read from `win`, the
-    /// row-major noise window of their union [`Reach`] around the
-    /// `nx × ny` output. Each kernel's own window is read in place, and
-    /// its field computed by the cached single-block engine or, when
-    /// [`Blocks::of`] finds the kernel dwarfs the window, by
-    /// [`FftEngine::convolve_partitioned`]. With `weights = None` the one
-    /// kernel's field is the output; with a [`WeightTable`] each field
-    /// lands in one reused buffer and is added to the output with its
-    /// weights.
+    /// `kernels` (`(cache id, kernel)` pairs, `factors` indexed by id),
+    /// read from `win`, the row-major noise window of their union
+    /// [`Reach`] around the `nx × ny` output. Each kernel's own window is
+    /// read in place, and its field computed as [`FieldPlan::of`] says:
+    /// by [`convolve_separable`], the cached single-block
+    /// engine, or [`FftEngine::convolve_partitioned`]. With
+    /// `weights = None` the one kernel's field is the output; with a
+    /// [`WeightTable`] each field lands in one reused buffer and is added
+    /// to the output with its weights.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn convolve_fields(
         &self,
         kernels: &[(usize, &ConvolutionKernel)],
+        factors: &[Option<Factors>],
         weights: Option<&WeightTable>,
         win: &[f64],
         nx: usize,
@@ -398,11 +557,14 @@ impl FftEngine {
             let (x0, y0) = reach.offset_of(kernel);
             let view = WinView { data: win, stride: ww, x0, y0, w: nx + kw - 1, h: ny + kh - 1 };
             let dst = if weights.is_some() { &mut field[..] } else { out.as_mut_slice() };
-            match Blocks::of(nx, ny, kw, kh) {
-                Some(blocks) => self.convolve_partitioned(
+            match FieldPlan::of(nx, ny, kw, kh, factors[id].as_ref()) {
+                FieldPlan::Separable(f) => {
+                    convolve_separable(f, view, nx, dst, workers, obs, budget, chaos)?
+                }
+                FieldPlan::Blocks(blocks) => self.convolve_partitioned(
                     kernel, blocks, view, dst, workers, obs, budget, chaos,
                 )?,
-                None => self.convolve_rfft(
+                FieldPlan::Tiles(_) => self.convolve_rfft(
                     id, kernel, view, nx, ny, dst, workers, obs, budget, chaos,
                 )?,
             }
@@ -640,6 +802,118 @@ impl FftEngine {
         Ok(())
     }
 }
+
+/// The field of a rank-one kernel `w̃ = c ⊗ r` over its window `win`,
+/// written to the `nx`-wide `out`, in two 1-D passes: kernel rows into an
+/// `(ny+kh−1) × nx` buffer, `t[ix, y] = Σ_a r[a]·win[ix+kw−1−a, y]`, then
+/// kernel columns into the field, `out[ix, iy] = Σ_b c[b]·t[ix,
+/// iy+kh−1−b]` — the direct loop's sum at `kw + kh` rather than `kw·kh`
+/// multiply-adds per sample. Both passes run in row bands through
+/// [`rrs_par::try_par_rows`] and compute each row from its index alone,
+/// so the field is bit-identical for every worker count.
+///
+/// On the FFT rung each pass stands in for a tile: it polls the budget
+/// and [`FaultSite::FftTile`] before it runs. The field is timed under
+/// [`stage::CORRELATE`] and counts one [`stage::CONV_SEPARABLE_FIELDS`];
+/// nothing is cached.
+#[allow(clippy::too_many_arguments)]
+fn convolve_separable(
+    factors: &Factors,
+    win: WinView<'_>,
+    nx: usize,
+    out: &mut [f64],
+    workers: usize,
+    obs: &Recorder,
+    budget: &Budget,
+    chaos: &ChaosInjector,
+) -> Result<(), RrsError> {
+    let Factors { row: r, col: c } = factors;
+    let (kw, kh) = (r.len(), c.len());
+    let poll = || {
+        if budget.needs_polling() {
+            obs.add_counter(stage::BUDGET_POLLS, 1);
+            budget.check()?;
+        }
+        chaos.poll(FaultSite::FftTile)
+    };
+    poll()?;
+    let span = obs.start(stage::CORRELATE);
+    let mut rows = vec![0.0; nx * win.h];
+    rrs_par::try_par_rows(&mut rows, nx, workers, obs, budget, chaos, |y0, band| {
+        for (dy, t) in band.chunks_mut(nx).enumerate() {
+            let wrow = win.row(y0 + dy);
+            tap_sum(t, r, |a| &wrow[kw - 1 - a..]);
+        }
+    })?;
+    poll()?;
+    rrs_par::try_par_rows(out, nx, workers, obs, budget, chaos, |y0, band| {
+        for (dy, o) in band.chunks_mut(nx).enumerate() {
+            let iy = y0 + dy;
+            tap_sum(o, c, |b| &rows[(iy + kh - 1 - b) * nx..]);
+        }
+    })?;
+    obs.finish(span);
+    obs.add_counter(stage::CONV_SEPARABLE_FIELDS, 1);
+    obs.add_counter(stage::CORRELATE_SAMPLES, out.len() as u64);
+    Ok(())
+}
+
+/// The two 1-D passes of `kernel`, when it is rank one, as a function
+/// from a row-major `(nx+kw−1) × (ny+kh−1)` noise window and `(nx, ny)`
+/// to the `nx × ny` field, at one worker and whatever [`FieldPlan::of`]
+/// would pick. It lets a benchmark time the passes on windows where the
+/// FFT rung would run overlap-save, to check the cost rule's pick.
+pub fn separable_passes(
+    kernel: &ConvolutionKernel,
+) -> Option<impl Fn(&[f64], usize, usize) -> Vec<f64>> {
+    let factors = Factors::of(kernel)?;
+    let (kw, kh) = kernel.extent();
+    let obs = Recorder::disabled();
+    let (budget, chaos) = (Budget::unlimited(), ChaosInjector::disabled());
+    Some(move |win: &[f64], nx: usize, ny: usize| {
+        let (w, h) = (nx + kw - 1, ny + kh - 1);
+        assert_eq!(win.len(), w * h, "window must be (nx+kw-1) x (ny+kh-1)");
+        let view = WinView { data: win, stride: w, x0: 0, y0: 0, w, h };
+        let mut out = vec![0.0; nx * ny];
+        convolve_separable(&factors, view, nx, &mut out, 1, &obs, &budget, &chaos)
+            .expect("unbudgeted passes cannot fail");
+        out
+    })
+}
+
+/// `dst[i] = Σ_j taps[j]·src(j)[i]`, summed in ascending `j` for every
+/// `i`. Runs of [`TAP_LANES`] outputs keep their sums in registers across
+/// the whole tap loop, so each multiply-add costs one load and no store.
+/// On `bench_convolution`'s `separable/*/passes` rows with windows up to
+/// 256 wide this ran 1.6–1.9× faster than one multiply-add sweep over
+/// `dst` per tap (same sums, same order; 2-vCPU x86-64).
+#[inline]
+fn tap_sum<'a>(dst: &mut [f64], taps: &[f64], src: impl Fn(usize) -> &'a [f64]) {
+    let n = dst.len();
+    let mut runs = dst.chunks_exact_mut(TAP_LANES);
+    for (run, d) in (&mut runs).enumerate() {
+        let at = run * TAP_LANES;
+        let mut acc = [0.0; TAP_LANES];
+        for (j, &tap) in taps.iter().enumerate() {
+            for (acc, &x) in acc.iter_mut().zip(&src(j)[at..at + TAP_LANES]) {
+                *acc += tap * x;
+            }
+        }
+        d.copy_from_slice(&acc);
+    }
+    let tail = runs.into_remainder();
+    let at = n - tail.len();
+    for (i, d) in tail.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (j, &tap) in taps.iter().enumerate() {
+            acc += tap * src(j)[at + i];
+        }
+        *d = acc;
+    }
+}
+
+/// Outputs per register-resident run of [`tap_sum`].
+const TAP_LANES: usize = 16;
 
 /// Processes the flattened tile indices `[t0, t1)` through one arena:
 /// gather (zero-padded), forward real transform, packed multiply,

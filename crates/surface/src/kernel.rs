@@ -235,11 +235,19 @@ impl ConvolutionKernel {
         let (w, h) = self.extent();
         let (hx, hy) = ((w / 2) as i64, (h / 2) as i64);
         // Binary search the scale factor t: window half-widths
-        // (ceil(t·hx), ceil(t·hy)).
-        let ok = |t: f64| -> bool {
+        // (ceil(t·hx), ceil(t·hy)). The half-widths stop changing after
+        // about log2(hx) of the 40 steps, so each window's verdict is
+        // summed once and remembered.
+        let mut seen: Vec<((i64, i64), bool)> = Vec::new();
+        let mut ok = |t: f64| -> bool {
             let rx = ((t * hx as f64).ceil() as i64).min(hx - 1).max(0);
             let ry = ((t * hy as f64).ceil() as i64).min(hy - 1).max(0);
-            self.window_energy(rx, ry) >= total * (1.0 - epsilon * epsilon)
+            if let Some(&(_, verdict)) = seen.iter().find(|(r, _)| *r == (rx, ry)) {
+                return verdict;
+            }
+            let verdict = self.window_energy(rx, ry) >= total * (1.0 - epsilon * epsilon);
+            seen.push(((rx, ry), verdict));
+            verdict
         };
         if !ok(1.0) {
             // Even the largest centred odd window can't hold the energy

@@ -42,8 +42,10 @@ pub mod internal {
     //! Workspace-internal seam: the window engine, shared with
     //! `rrs-inhomo` so its generator is a weight map over the same
     //! request path, FFT engine, breaker and fallback policy as the
-    //! homogeneous one. Not a stable public API.
+    //! homogeneous one, and the separable passes on their own for
+    //! `bench_convolution`'s cost-rule rows. Not a stable public API.
     pub use crate::engine::WindowEngine;
+    pub use crate::fftconv::separable_passes;
 }
 pub use direct::DirectDftGenerator;
 pub use kernel::{ConvolutionKernel, KernelSizing};

@@ -146,8 +146,9 @@ fn fft_strip_seams_match_direct_whole_surface() {
 fn auto_dispatches_by_kernel_area_and_counts() {
     use rrs::obs::stage;
     // Large kernel: Auto must resolve to the FFT engine and tick its
-    // dispatch counter.
-    let s = Gaussian::new(SurfaceParams::isotropic(1.0, 16.0));
+    // dispatch counter. Exponential, not Gaussian: a rank-one kernel
+    // would take the separable field and run no overlap-save tile.
+    let s = Exponential::new(SurfaceParams::isotropic(1.0, 16.0));
     let rec = Recorder::enabled();
     let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
         .with_backend(ConvBackend::Auto)
@@ -282,7 +283,8 @@ fn parallel_real_fft_strips_tile_seamlessly() {
 #[test]
 fn plan_cache_and_parallel_tiles_are_observed() {
     use rrs::obs::stage;
-    let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
+    // Non-separable, so the FFT rung runs overlap-save tiles.
+    let s = Exponential::new(SurfaceParams::isotropic(1.0, 5.0));
     let k = ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-3);
     let win = Window::sized(220, 160);
 
@@ -325,7 +327,8 @@ fn shared_plan_cache_is_warm_across_generators() {
     use rrs::obs::stage;
     use rrs_fft::FftPlanCache;
     use std::sync::Arc;
-    let s = Gaussian::new(SurfaceParams::isotropic(1.0, 6.0));
+    // Non-separable, so the FFT rung transforms through the plan cache.
+    let s = Exponential::new(SurfaceParams::isotropic(1.0, 6.0));
     let k = ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-3);
     let plans = Arc::new(FftPlanCache::new());
     let noise = NoiseField::new(808);

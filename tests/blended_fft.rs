@@ -105,6 +105,16 @@ fn circle_pond() -> Box<dyn WeightMap> {
 
 /// Nine points on a radius-40 ring plus the centre, as in Figure 4.
 fn point_ring() -> Box<dyn WeightMap> {
+    ring_of(gauss)
+}
+
+/// [`point_ring`] with exponential ring kernels: no kernel is rank one,
+/// so every field runs overlap-save.
+fn exponential_ring() -> Box<dyn WeightMap> {
+    ring_of(|h, cl| SpectrumModel::exponential(SurfaceParams::isotropic(h, cl)))
+}
+
+fn ring_of(family: fn(f64, f64) -> SpectrumModel) -> Box<dyn WeightMap> {
     let mut points: Vec<RepresentativePoint> = (1..=9)
         .map(|i| {
             let th = std::f64::consts::TAU * i as f64 / 9.0;
@@ -112,7 +122,7 @@ fn point_ring() -> Box<dyn WeightMap> {
             RepresentativePoint {
                 x: 40.0 * th.cos(),
                 y: 40.0 * th.sin(),
-                spectrum: gauss(h, cl),
+                spectrum: family(h, cl),
             }
         })
         .collect();
@@ -142,7 +152,10 @@ fn generator(
 #[derive(Clone, Copy)]
 enum Subject {
     Map(Layout),
+    /// The homogeneous generator over a Gaussian kernel.
     Homogeneous,
+    /// The homogeneous generator over an exponential kernel.
+    HomogeneousExponential,
 }
 
 impl Subject {
@@ -160,6 +173,12 @@ impl Subject {
             Subject::Homogeneous => ConvolutionGenerator::new(&gauss(1.5, 4.0), sizing)
                 .with_context(ctx)
                 .try_generate(noise, win),
+            Subject::HomogeneousExponential => ConvolutionGenerator::new(
+                &SpectrumModel::exponential(SurfaceParams::isotropic(1.5, 4.0)),
+                sizing,
+            )
+            .with_context(ctx)
+            .try_generate(noise, win),
         }
     }
 
@@ -269,18 +288,24 @@ fn kernel_dwarfing_its_window_is_computed_in_blocks() {
     // 96² kernels over 16² windows: the single-block plan would need a
     // 128² lattice, more than 4 × 16, so each field is split into
     // 17 × 17 kernel blocks on the 32² window lattice: 6 × 6 = 36.
+    // Exponential kernels throughout: a rank-one Gaussian would take the
+    // separable field, which runs no block.
     let sizing = KernelSizing::Explicit(GridSpec::unit(96, 96));
-    let probe = InhomogeneousGenerator::new(point_ring(), sizing);
+    let probe = InhomogeneousGenerator::new(exponential_ring(), sizing);
     assert!(probe.kernels().iter().all(|k| k.extent() == (96, 96)));
 
-    for subject in [Subject::Map(point_ring), Subject::Homogeneous] {
+    for subject in [
+        Subject::Map(exponential_ring),
+        Subject::HomogeneousExponential,
+    ] {
         let pure = check_window(subject, sizing, Window::new(-8, -8, 16, 16), 2);
         assert_eq!(pure.counter(stage::CONV_FFT_TILES), 36);
     }
 
     // Straddling the centre cell's edge: two or more kernels, each in
     // 36 blocks.
-    let blended = check_window(Subject::Map(point_ring), sizing, Window::new(12, -8, 16, 16), 3);
+    let blended =
+        check_window(Subject::Map(exponential_ring), sizing, Window::new(12, -8, 16, 16), 3);
     let fields = blended.counter(stage::CORRELATE_SAMPLES) / (16 * 16);
     assert!(fields >= 2 && blended.counter(stage::INHOMO_BLENDED_SAMPLES) > 0);
     assert_eq!(blended.counter(stage::CONV_FFT_TILES), 36 * fields);

@@ -1,9 +1,10 @@
 //! Whole-pipeline chaos torture suite.
 //!
-//! Drives a representative pipeline — an FFT-ladder strip stream, a
-//! Direct-backend convolution, and a retrying checkpoint write — under a
-//! seeded [`FaultSchedule`], across every [`FaultSite`] × [`FaultKind`]
-//! combination, and pins the fault-model contract:
+//! Drives a representative pipeline — FFT-ladder strip streams over a
+//! separable and a tiled kernel, a Direct-backend convolution, and a
+//! retrying checkpoint write — under a seeded [`FaultSchedule`], across
+//! every [`FaultSite`] × [`FaultKind`] combination, and pins the
+//! fault-model contract:
 //!
 //! * **no escaped panics** — an injected panic anywhere surfaces as a
 //!   typed [`RrsError::WorkerPanicked`] or is absorbed by the backend
@@ -90,6 +91,14 @@ fn run_pipeline(chaos: &ChaosInjector, dir: &std::path::Path) -> Result<u64, Rrs
         .with_backend(ConvBackend::FftOverlapSave)
         .with_chaos(chaos.clone());
     let strip = sg.try_strip_at(0, 12)?;
+    // The Gaussian kernel is rank one and takes the FFT rung's separable
+    // field; an exponential one runs overlap-save tiles through the plan
+    // cache.
+    let e = Exponential::new(SurfaceParams::isotropic(1.0, 4.0));
+    let tiled = StripGenerator::new(&e, KernelSizing::default(), 16, 43)
+        .with_backend(ConvBackend::FftOverlapSave)
+        .with_chaos(chaos.clone())
+        .try_strip_at(0, 12)?;
 
     let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
         .with_workers(1)
@@ -122,6 +131,7 @@ fn run_pipeline(chaos: &ChaosInjector, dir: &std::path::Path) -> Result<u64, Rrs
         strip
             .as_slice()
             .iter()
+            .chain(tiled.as_slice())
             .chain(field.as_slice())
             .map(|v| v.to_bits()),
     ))

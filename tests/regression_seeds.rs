@@ -41,3 +41,70 @@ fn power_law_weight_sum_with_long_anisotropic_lengths() {
         "Σw = {total}, h² = {v}"
     );
 }
+
+/// FNV-1a over a kernel's extent, origin and weight bits.
+fn kernel_hash(kernels: &[ConvolutionKernel]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for k in kernels {
+        let (w, ht) = k.extent();
+        let (x0, y0) = k.origin();
+        let head = [w as u64, ht as u64, x0 as u64, y0 as u64];
+        for v in head
+            .into_iter()
+            .chain(k.weights().as_slice().iter().map(|v| v.to_bits()))
+        {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+fn truncated(spectra: &[SpectrumModel], eps: f64) -> Vec<ConvolutionKernel> {
+    let sizing = KernelSizing::Auto {
+        factor: 8.0,
+        min: 16,
+        max: 2048,
+    };
+    spectra
+        .iter()
+        .map(|s| ConvolutionKernel::build(s, sizing).truncated(eps))
+        .collect()
+}
+
+/// The truncation search picks the same crop, with the same bits, for the
+/// kernels the benchmark's workloads build: the 32 served Gaussian keys
+/// (h ∈ {0.5, 1, 1.5, 2}, cl = 4..18, ε = 1e-3) and the Figure 1 (scale 1)
+/// and Figure 4 (scale 1/3) kernels at ε = 0.01.
+#[test]
+fn truncated_kernels_keep_their_bits() {
+    let g = |h: f64, cl: f64| SpectrumModel::gaussian(SurfaceParams::isotropic(h, cl));
+    let serve: Vec<_> = [0.5, 1.0, 1.5, 2.0]
+        .iter()
+        .flat_map(|&h| (0..8).map(move |i| g(h, 4.0 + 2.0 * i as f64)))
+        .collect();
+    let fig1 = [g(1.0, 40.0), g(1.5, 60.0), g(2.0, 80.0)];
+    let s = 1.0 / 3.0;
+    let fig4 = [
+        g(1.0, 50.0 * s),
+        g(1.5, 75.0 * s),
+        g(2.0, 100.0 * s),
+        SpectrumModel::exponential(SurfaceParams::isotropic(0.5, 100.0 * s)),
+    ];
+    let got = [
+        kernel_hash(&truncated(&serve, 1e-3)),
+        kernel_hash(&truncated(&fig1, 0.01)),
+        kernel_hash(&truncated(&fig4, 0.01)),
+    ];
+    assert_eq!(
+        got,
+        [
+            0x7055_75fa_0c42_7dce,
+            0x311a_abf2_a192_e35b,
+            0xa1d2_2690_efe6_af9d
+        ],
+        "truncated-kernel hashes moved: {got:#x?}"
+    );
+}

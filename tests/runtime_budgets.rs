@@ -239,8 +239,10 @@ fn retrying_checkpoints_compose_with_budgeted_streams() {
 
 // --- The FFT overlap-save backend honours the same budget contract. ---
 
+/// Exponential, not Gaussian: a rank-one kernel would take the separable
+/// field instead of overlap-save tiles.
 fn fft_generator() -> ConvolutionGenerator {
-    let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
+    let s = Exponential::new(SurfaceParams::isotropic(1.0, 4.0));
     ConvolutionGenerator::new(&s, KernelSizing::Explicit(GridSpec::unit(16, 16)))
         .with_workers(2)
         .with_backend(ConvBackend::FftOverlapSave)

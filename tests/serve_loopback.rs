@@ -17,6 +17,13 @@ fn spectrum() -> SpectrumModel {
     SpectrumModel::gaussian(SurfaceParams::isotropic(1.2, 5.0))
 }
 
+/// A key whose kernel is not rank one, so its FFT-backend requests run
+/// overlap-save tiles through the plan cache rather than the separable
+/// field.
+fn tiled_spectrum() -> SpectrumModel {
+    SpectrumModel::exponential(SurfaceParams::isotropic(1.2, 5.0))
+}
+
 /// The direct in-process reference for a served request.
 fn direct(
     model: &SpectrumModel,
@@ -74,7 +81,7 @@ fn coalesced_batches_share_one_kernel_and_the_plan_cache() {
     let config = ServeConfig { workers: 1, max_batch: 16, ..ServeConfig::default() };
     let server = serve(config).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
-    let model = spectrum();
+    let model = tiled_spectrum();
     let win = Window::sized(48, 48);
 
     // Warm the kernel cache for the batch key so the batch itself is
@@ -262,7 +269,7 @@ fn warm_budgeted_requests_reuse_the_cached_kernel_spectrum() {
     let config = ServeConfig { workers: 1, ..ServeConfig::default() };
     let server = serve(config).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
-    let plain = GenerateRequest::new(1, 0, 9, spectrum(), Window::sized(48, 48))
+    let plain = GenerateRequest::new(1, 0, 9, tiled_spectrum(), Window::sized(48, 48))
         .with_truncation(1e-3)
         .with_sizing(6.0, 8, 64)
         .with_backend(ConvBackend::FftOverlapSave);
